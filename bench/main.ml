@@ -28,7 +28,6 @@ let all_targets : (string * string * (Campaign.t -> unit)) list =
     ("ablation_multibg", "multi-threaded background sweep (§7.1)", Figures.ablation_multibg);
     ("ablation_allocator", "snmalloc vs jemalloc (footnote 23)", Figures.ablation_allocator);
     ("ablation_coloring", "memory-coloring composition (§7.3)", Figures.ablation_coloring);
-    ("micro", "bechamel microbenchmarks of primitives", fun _ -> Micro.run ());
   ]
 
 (* Machine-readable output: one flat JSON record per (profile x mode)

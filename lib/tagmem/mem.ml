@@ -2,11 +2,32 @@ module Capability = Cheri.Capability
 
 let granule = 16
 
+(* Data is stored in 4 KiB frames, one per physical page. Every frame
+   starts as [zero_frame], a single all-zero buffer shared by every [t]
+   (and read from every domain), and gets its own bytes on its first
+   write; [zero_frame] itself is never written. Shadow capabilities are
+   kept the same way, in chunks of [chunk] slots made on the first tagged
+   store into them, with [no_chunk] standing for a chunk never stored to.
+   A frame is 512 words and a chunk 512 slots, both above
+   [Max_young_wosize] (256 words): they are born in the major heap and
+   add no minor words. A run touches only a fraction of its pages, so
+   memory that is never written costs one pointer per page. *)
+let page_shift = 12
+let page = 1 lsl page_shift
+let page_mask = page - 1
+let chunk_shift = 9
+let chunk = 1 lsl chunk_shift
+let chunk_mask = chunk - 1
+let zero_frame = Bytes.make page '\000'
+let no_chunk : Capability.t array = [||]
+
 type t = {
   size : int;
-  data : Bytes.t;
+  frames : Bytes.t array; (* [zero_frame] until the page is first written *)
   tags : Bytes.t; (* one bit per granule *)
-  shadow : Capability.t array; (* valid iff corresponding tag is set *)
+  shadow : Capability.t array array;
+      (* per [chunk] granules, [no_chunk] until the first tagged store;
+         slot valid iff the corresponding tag is set *)
 }
 
 (* One tag bit per granule, packed little-endian: granule [g] is bit
@@ -19,12 +40,15 @@ let create ~size =
   let ngran = size / granule in
   {
     size;
-    data = Bytes.make size '\000';
+    frames = Array.make ((size + page - 1) lsr page_shift) zero_frame;
     tags = Bytes.make ((ngran + 63) / 64 * 8) '\000';
-    shadow = Array.make ngran Capability.null;
+    shadow = Array.make ((ngran + chunk - 1) lsr chunk_shift) no_chunk;
   }
 
 let size m = m.size
+
+let resident_pages m =
+  Array.fold_left (fun n f -> if f == zero_frame then n else n + 1) 0 m.frames
 
 let check m a w =
   if a < 0 || a + w > m.size then
@@ -70,18 +94,50 @@ let clear_tags_range m a w =
     set_tag_bit m g false
   done
 
+(* The frame holding address [a], for reading (callers have checked
+   [a]). *)
+let frame m a = Array.unsafe_get m.frames (a lsr page_shift)
+
+(* The frame holding [a], for writing: a page still on the shared zero
+   frame gets its own bytes first. *)
+let frame_w m a =
+  let p = a lsr page_shift in
+  let f = Array.unsafe_get m.frames p in
+  if f != zero_frame then f
+  else begin
+    let f = Bytes.make page '\000' in
+    Array.unsafe_set m.frames p f;
+    f
+  end
+
+let byte m a = Char.code (Bytes.unsafe_get (frame m a) (a land page_mask))
+
+let set_byte m a v =
+  Bytes.unsafe_set (frame_w m a) (a land page_mask) (Char.unsafe_chr (v land 0xff))
+
 let read_u8 m a =
   check m a 1;
-  Char.code (Bytes.get m.data a)
+  byte m a
 
 let write_u8 m a v =
   check m a 1;
-  Bytes.set m.data a (Char.chr (v land 0xff));
+  set_byte m a v;
   clear_tags_range m a 1
+
+(* An 8-byte word lies in one frame unless it starts in a frame's last 7
+   bytes; the straddling case goes byte by byte. *)
+let in_frame a = a land page_mask <= page - 8
 
 let read_u64 m a =
   check m a 8;
-  Bytes.get_int64_le m.data a
+  if in_frame a then Bytes.get_int64_le (frame m a) (a land page_mask)
+  else begin
+    let v = ref 0L in
+    for i = 7 downto 0 do
+      v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (byte m (a + i)))
+    done;
+    !v
+  end
 
 (* Single-bit read of the little-endian u64 at [a]: equals
    [Int64.logand (read_u64 m a) (Int64.shift_left 1L bit) <> 0L] without
@@ -89,31 +145,56 @@ let read_u64 m a =
    granule swept. *)
 let read_u64_bit m a bit =
   check m a 8;
-  Char.code (Bytes.get m.data (a + (bit lsr 3))) land (1 lsl (bit land 7)) <> 0
+  if bit < 0 || bit >= 64 then
+    invalid_arg (Printf.sprintf "Mem.read_u64_bit: bit %d outside [0, 64)" bit);
+  byte m (a + (bit lsr 3)) land (1 lsl (bit land 7)) <> 0
 
 let write_u64 m a v =
   check m a 8;
-  Bytes.set_int64_le m.data a v;
+  if in_frame a then Bytes.set_int64_le (frame_w m a) (a land page_mask) v
+  else
+    for i = 0 to 7 do
+      set_byte m (a + i) (Int64.to_int (Int64.shift_right_logical v (8 * i)))
+    done;
   clear_tags_range m a 8
 
 let aligned a = a land (granule - 1) = 0
 
+(* Shadow slot of tagged granule [g]: its chunk exists, since a tag is
+   only ever set together with the slot. *)
+let shadow_get m g =
+  Array.unsafe_get (Array.unsafe_get m.shadow (g lsr chunk_shift)) (g land chunk_mask)
+
+(* The shadow chunk holding granule [g], made on first use. *)
+let chunk_w m g =
+  let k = g lsr chunk_shift in
+  let c = Array.unsafe_get m.shadow k in
+  if c != no_chunk then c
+  else begin
+    let c = Array.make chunk Capability.null in
+    Array.unsafe_set m.shadow k c;
+    c
+  end
+
 let read_cap m a =
   check m a granule;
   if not (aligned a) then invalid_arg "Mem.read_cap: unaligned";
-  if unsafe_read_tag m (gidx a) then m.shadow.(gidx a)
+  let g = gidx a in
+  if unsafe_read_tag m g then shadow_get m g
   else
-    let addr = Int64.to_int (Bytes.get_int64_le m.data a) in
+    let addr = Int64.to_int (Bytes.get_int64_le (frame m a) (a land page_mask)) in
     Capability.set_addr Capability.null addr
 
 let write_cap m a c =
   check m a granule;
   if not (aligned a) then invalid_arg "Mem.write_cap: unaligned";
   let g = gidx a in
-  Bytes.set_int64_le m.data a (Int64.of_int (Capability.addr c));
-  Bytes.set_int64_le m.data (a + 8) 0L;
+  (* a granule never straddles a frame *)
+  let f = frame_w m a and o = a land page_mask in
+  Bytes.set_int64_le f o (Int64.of_int (Capability.addr c));
+  Bytes.set_int64_le f (o + 8) 0L;
   if Capability.tag c then begin
-    m.shadow.(g) <- c;
+    Array.unsafe_set (chunk_w m g) (g land chunk_mask) c;
     set_tag_bit m g true
   end
   else set_tag_bit m g false
@@ -181,6 +262,37 @@ let tag_word m a =
     invalid_arg "Mem.tag_word: not 64-granule aligned";
   word_of_tags m (gidx a lsr 6)
 
+(* Copy [n] data bytes from [s] to [d] where neither range crosses a
+   frame boundary. Zeroes onto a never-written frame stay unwritten. *)
+let blit_piece m s d n =
+  let fs = frame m s in
+  if not (fs == zero_frame && frame m d == zero_frame) then
+    Bytes.blit fs (s land page_mask) (frame_w m d) (d land page_mask) n
+
+(* [Bytes.blit] over the frames: the range is cut into pieces that stay
+   inside one source and one destination frame, taken front to back when
+   [dst <= src] and back to front otherwise, so overlapping ranges copy
+   as the single blit over a flat store would. *)
+let blit_data m ~src ~dst ~len =
+  if dst <= src then begin
+    let off = ref 0 in
+    while !off < len do
+      let s = src + !off and d = dst + !off in
+      let n = min (len - !off) (page - (max (s land page_mask) (d land page_mask))) in
+      blit_piece m s d n;
+      off := !off + n
+    done
+  end
+  else begin
+    let off = ref len in
+    while !off > 0 do
+      let s = src + !off and d = dst + !off in
+      let n = min !off (1 + min ((s - 1) land page_mask) ((d - 1) land page_mask)) in
+      blit_piece m (s - n) (d - n) n;
+      off := !off - n
+    done
+  end
+
 (* Copy [len] bytes from [src] to [dst], preserving tags and shadow
    capabilities. Both ranges must be granule-aligned, as must [len];
    copy-on-write duplicates whole frames, which satisfies this. *)
@@ -189,19 +301,31 @@ let copy_range m ~src ~dst ~len =
   check m dst len;
   if not (aligned src && aligned dst && len land (granule - 1) = 0) then
     invalid_arg "Mem.copy_range: unaligned";
-  Bytes.blit m.data src m.data dst len;
+  blit_data m ~src ~dst ~len;
   (* both ranges were checked above: the inner loop is check-free *)
   let g0 = gidx src and gd = gidx dst in
   for i = 0 to (len / granule) - 1 do
     let t = unsafe_read_tag m (g0 + i) in
     set_tag_bit m (gd + i) t;
-    m.shadow.(gd + i) <- (if t then m.shadow.(g0 + i) else Capability.null)
+    (* the slot under a clear tag is never read, so only tagged granules
+       need theirs copied *)
+    if t then
+      let g = gd + i in
+      Array.unsafe_set (chunk_w m g) (g land chunk_mask) (shadow_get m (g0 + i))
   done
 
 let fill m ~lo ~hi v =
   check m lo 0;
   check m hi 0;
   if hi > lo then begin
-    Bytes.fill m.data lo (hi - lo) (Char.chr (v land 0xff));
+    let c = Char.chr (v land 0xff) in
+    let a = ref lo in
+    while !a < hi do
+      let e = min hi ((!a lor page_mask) + 1) in
+      (* zeroes over a never-written frame are already there *)
+      if not (c = '\000' && frame m !a == zero_frame) then
+        Bytes.fill (frame_w m !a) (!a land page_mask) (e - !a) c;
+      a := e
+    done;
     clear_tags_range m lo (hi - lo)
   end

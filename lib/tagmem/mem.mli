@@ -1,11 +1,17 @@
 (** Tagged physical memory.
 
-    Memory is a flat array of bytes with one validity tag per 16-byte,
+    Memory is an array of bytes with one validity tag per 16-byte,
     naturally-aligned {e granule} — the same density as CHERI tag storage
     (Joannou et al., "Efficient Tagged Memory"). The simulator keeps the
-    full capability value for each tagged granule in a shadow array; the
+    full capability value for each tagged granule in a shadow slot; the
     data bytes of a tagged granule hold the capability's address so that
     integer reads of pointer values behave as on real hardware.
+
+    The store is sparse on the host: data lives in 4 KiB frames that all
+    share one read-only zero frame until their first write, and shadow
+    slots are allocated in chunks on the first tagged store. Only the
+    packed tag bitmap is allocated whole. None of this is visible to the
+    simulation, which sees zero-initialised memory of the requested size.
 
     Tag coherence is enforced here: any data write that touches a granule
     clears its tag, so capabilities cannot be forged or corrupted-but-kept. *)
@@ -21,6 +27,11 @@ val create : size:int -> t
 
 val size : t -> int
 
+val resident_pages : t -> int
+(** Host-side: the number of 4 KiB frames that have been given their own
+    bytes by a write. A zero [fill] of a never-written frame does not
+    count as a write. *)
+
 (** {1 Data access} (physical addresses) *)
 
 val read_u8 : t -> int -> int
@@ -34,7 +45,8 @@ val write_u64 : t -> int -> int64 -> unit
 val read_u64_bit : t -> int -> int -> bool
 (** [read_u64_bit m a bit] is
     [Int64.logand (read_u64 m a) (Int64.shift_left 1L bit) <> 0L] for
-    [0 <= bit < 64], without boxing the word. *)
+    [0 <= bit < 64], without boxing the word. Raises [Invalid_argument]
+    for [bit] outside [\[0, 64)]. *)
 
 (** {1 Capability access} *)
 
