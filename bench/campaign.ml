@@ -23,7 +23,6 @@ type t = {
   scale : float;
   seed : int;
   jobs : int; (* domain-parallel fan-out width for independent cells *)
-  interp : Workload.Spec.interp; (* spec cells only; simulated results identical *)
   spec : (string * string, Result.t) Hashtbl.t; (* (workload, mode) *)
   interactive : (string * string, Result.t) Hashtbl.t;
   durations : (string * string, float) Hashtbl.t; (* wall ms per cell *)
@@ -32,12 +31,11 @@ type t = {
   mutable grpc_done : bool;
 }
 
-let create ?jobs ?(interp = Workload.Spec.Compiled) ~scale ~seed () =
+let create ?jobs ~scale ~seed () =
   {
     scale;
     seed;
     jobs = (match jobs with Some j -> max 1 j | None -> Parallel.Pool.default_jobs ());
-    interp;
     spec = Hashtbl.create 64;
     interactive = Hashtbl.create 16;
     durations = Hashtbl.create 64;
@@ -77,8 +75,7 @@ let ensure_spec t =
             (fun mode ->
               ( (p.Profile.name, Runtime.mode_name mode),
                 fun () ->
-                  Workload.Spec.run ~seed:t.seed ~ops_scale:t.scale
-                    ~interp:t.interp ~mode p ))
+                  Workload.Spec.run ~seed:t.seed ~ops_scale:t.scale ~mode p ))
             modes)
         Profile.spec_all
     in

@@ -65,8 +65,8 @@ let write_json path records =
 
 let usage () =
   print_endline
-    "usage: main.exe [--scale S] [--seed N] [--jobs N] [--interp \
-     compiled|reference] [--json OUT] [--list] [target ...]";
+    "usage: main.exe [--scale S] [--seed N] [--jobs N] [--json OUT] [--list] \
+     [target ...]";
   print_endline "targets:";
   List.iter (fun (n, d, _) -> Printf.printf "  %-18s %s\n" n d) all_targets;
   print_endline "(no targets = run everything)"
@@ -83,15 +83,14 @@ let () =
   let scale = ref 0.5 in
   let seed = ref 1 in
   let jobs = ref (Parallel.Pool.default_jobs ()) in
-  let interp = ref Workload.Spec.Compiled in
   let json_out = ref None in
   let targets = ref [] in
   let rec parse = function
     | [] -> ()
     | "--scale" :: v :: rest ->
         (match float_of_string_opt v with
-        | Some s when s > 0.0 -> scale := s
-        | Some _ | None -> die "--scale needs a positive number, got %S" v);
+        | Some s when Float.is_finite s && s > 0.0 -> scale := s
+        | Some _ | None -> die "--scale needs a positive finite number, got %S" v);
         parse rest
     | "--seed" :: v :: rest ->
         (match int_of_string_opt v with
@@ -109,13 +108,7 @@ let () =
     | "--json" :: v :: rest ->
         json_out := Some v;
         parse rest
-    | "--interp" :: v :: rest ->
-        (match v with
-        | "compiled" -> interp := Workload.Spec.Compiled
-        | "reference" -> interp := Workload.Spec.Reference
-        | _ -> die "--interp takes 'compiled' or 'reference', got %S" v);
-        parse rest
-    | [ ("--scale" | "--seed" | "--jobs" | "--json" | "--interp") ] as flag ->
+    | [ ("--scale" | "--seed" | "--jobs" | "--json") ] as flag ->
         die "%s needs a value" (List.hd flag)
     | ("--list" | "--help" | "-h") :: _ ->
         usage ();
@@ -145,7 +138,7 @@ let () =
     !scale Paper.heap_scale !seed !jobs;
   Format.printf
     "(shapes and orderings are the reproduced quantities; see EXPERIMENTS.md)@.";
-  let c = Campaign.create ~jobs:!jobs ~interp:!interp ~scale:!scale ~seed:!seed () in
+  let c = Campaign.create ~jobs:!jobs ~scale:!scale ~seed:!seed () in
   let t0 = Unix.gettimeofday () in
   List.iter
     (fun name ->

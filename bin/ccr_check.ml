@@ -171,7 +171,8 @@ let profiles_arg =
 let scale_arg =
   Arg.(
     value & opt float 0.1
-    & info [ "scale" ] ~doc:"Operation-count scale per profile.")
+    & info [ "scale" ]
+        ~doc:"Operation-count scale per profile: a positive, finite number.")
 
 let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Deterministic seed.")
@@ -218,8 +219,9 @@ let main profiles scale seed skip_mutations jobs rules_only =
       1
   | Ok jobs ->
   if rules_only then list_rules ()
-  else if scale <= 0.0 then begin
-    Format.eprintf "ccr_check: --scale must be positive (got %g)@." scale;
+  else if not (Float.is_finite scale && scale > 0.0) then begin
+    Format.eprintf "ccr_check: --scale must be positive and finite (got %g)@."
+      scale;
     1
   end
   else

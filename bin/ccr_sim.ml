@@ -35,29 +35,6 @@ let mode_arg =
 let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Deterministic simulation seed.")
 
-let interp_conv =
-  Arg.conv
-    ( (function
-      | "compiled" -> Ok Workload.Spec.Compiled
-      | "reference" -> Ok Workload.Spec.Reference
-      | s -> Error (`Msg (Printf.sprintf "unknown interpreter %S" s))),
-      fun fmt i ->
-        Format.pp_print_string fmt
-          (match i with
-          | Workload.Spec.Compiled -> "compiled"
-          | Workload.Spec.Reference -> "reference") )
-
-let interp_arg =
-  Arg.(
-    value
-    & opt interp_conv Workload.Spec.Compiled
-    & info [ "interp" ]
-        ~doc:
-          "Op-stream interpreter: $(b,compiled) (default; precompiled \
-           zero-alloc decode loop) or $(b,reference) (the original per-op \
-           interpreter). Simulated behaviour is bit-for-bit identical; only \
-           host wall-clock differs." ~docv:"KIND")
-
 let phases_arg =
   Arg.(
     value & flag
@@ -70,6 +47,10 @@ let trace_arg =
     & info [ "trace" ]
         ~doc:"Attach an event tracer and dump the last $(docv) events."
         ~docv:"N")
+
+let valid_scale s = Float.is_finite s && s > 0.0
+
+let scale_doc = "Operation-count scale: a positive, finite number."
 
 let mk_tracer = function
   | None -> None
@@ -153,12 +134,11 @@ let spec_cmd =
       & opt (some string) None
       & info [ "workload"; "w" ] ~doc:(Printf.sprintf "SPEC workload: %s." all))
   in
-  let scale =
-    Arg.(value & opt float 0.5 & info [ "scale" ] ~doc:"Operation-count scale.")
-  in
-  let run workload scale mode seed interp phases trace =
-    if scale <= 0.0 then begin
-      Format.eprintf "ccr_sim spec: --scale must be positive (got %g)@." scale;
+  let scale = Arg.(value & opt float 0.5 & info [ "scale" ] ~doc:scale_doc) in
+  let run workload scale mode seed phases trace =
+    if not (valid_scale scale) then begin
+      Format.eprintf "ccr_sim spec: --scale must be positive and finite (got %g)@."
+        scale;
       1
     end
     else
@@ -166,7 +146,7 @@ let spec_cmd =
       | p ->
           let tracer = mk_tracer trace in
           report ~phases
-            (Workload.Spec.run ~seed ~ops_scale:scale ?tracer ~interp ~mode p);
+            (Workload.Spec.run ~seed ~ops_scale:scale ?tracer ~mode p);
           dump_trace trace tracer;
           0
       | exception Not_found ->
@@ -176,8 +156,8 @@ let spec_cmd =
   Cmd.v
     (Cmd.info "spec" ~doc:"Run a synthetic SPEC CPU2006 workload.")
     Term.(
-      const run $ workload $ scale $ mode_arg $ seed_arg $ interp_arg
-      $ phases_arg $ trace_arg)
+      const run $ workload $ scale $ mode_arg $ seed_arg $ phases_arg
+      $ trace_arg)
 
 let pgbench_cmd =
   let transactions =
@@ -245,9 +225,7 @@ let tenant_cmd =
   let tenants =
     Arg.(value & opt int 2 & info [ "tenants"; "n" ] ~doc:"Concurrent processes.")
   in
-  let scale =
-    Arg.(value & opt float 0.25 & info [ "scale" ] ~doc:"Operation-count scale.")
-  in
+  let scale = Arg.(value & opt float 0.25 & info [ "scale" ] ~doc:scale_doc) in
   let sched =
     Arg.(
       value & opt sched_conv Os.Revsched.Round_robin & info [ "sched" ] ~doc:sched_doc)
@@ -258,8 +236,9 @@ let tenant_cmd =
         tenants;
       1
     end
-    else if scale <= 0.0 then begin
-      Format.eprintf "ccr_sim tenant: --scale must be positive (got %g)@." scale;
+    else if not (valid_scale scale) then begin
+      Format.eprintf
+        "ccr_sim tenant: --scale must be positive and finite (got %g)@." scale;
       1
     end
     else
@@ -642,6 +621,9 @@ let main =
            `P
              "Cross-process revocation scheduling policies (tenant and \
               tenantecon --sched): round-robin, pressure, slo, quota.";
+           `P
+             "Operation-count scales (spec and tenant --scale) must be \
+              positive and finite: nan, inf and values <= 0 exit 1.";
          ])
     [ spec_cmd; pgbench_cmd; grpc_cmd; tenant_cmd; tenantecon_cmd ]
 

@@ -55,10 +55,6 @@ and thread = {
   mutable last_ran : int;
   mutable slice_start : int;
   mutable killed : bool;
-  mutable sp_checked : bool;
-      (* a stop-the-world checkpoint already ran in the current slice
-         and did not park; reset at every resume. Lets [safe_point_run]
-         skip re-reading [m.stw] for the rest of the slice. *)
 }
 
 and core = {
@@ -242,7 +238,6 @@ let spawn m ~name ~core ?(user = true) ?(pid = 0) ?aspace body =
       last_ran = 0;
       slice_start = 0;
       killed = false;
-      sp_checked = false;
     }
   in
   m.next_tid <- m.next_tid + 1;
@@ -311,7 +306,7 @@ let eligible_time m th =
    guaranteed to choose this very thread again with nothing running in
    between (ties lose to the incumbent's larger [last_ran], hence the
    strict [>]). The caller then replicates [resume]'s bookkeeping inline
-   — clock advance, slice reset, [sp_checked], [seq]/[last_ran] — and
+   — clock advance, slice reset, [seq]/[last_ran] — and
    skips the fiber round trip entirely, which costs an effect capture
    plus a continuation switch per quantum. Disabled under an STW (parking
    must go through the real scheduler) and under a scheduling oracle
@@ -335,7 +330,6 @@ let self_resume ctx tmine =
   let c = core_of ctx in
   c.clock <- max c.clock tmine;
   th.slice_start <- c.clock;
-  th.sp_checked <- false;
   ctx.m.seq <- ctx.m.seq + 1;
   th.last_ran <- ctx.m.seq
 
@@ -396,7 +390,7 @@ let checkpoint ctx =
       perform_yield ()
   | Some _ | None -> ()
 
-(* Quantum-expiry yield shared by {!safe_point} and {!safe_point_run}:
+(* Quantum-expiry yield shared by {!safe_point} and {!yield}:
    self-resumes inline when this thread is the sole-eligible one. *)
 let quantum_yield ctx =
   let th = ctx.th in
@@ -411,26 +405,6 @@ let safe_point ctx =
   checkpoint ctx;
   let c = core_of ctx in
   if c.clock - ctx.th.slice_start >= ctx.m.cfg.quantum then quantum_yield ctx
-
-(* Batched safe point for op-stream runs: observably identical to
-   {!safe_point}, but the STW checkpoint is re-executed only on the first
-   call after a resume. Soundness: the scheduler is cooperative and
-   single-domain, so while a thread runs uninterrupted no other thread
-   can install a stop-the-world or add it to a pending set — [m.stw] and
-   the thread's membership in [s.pending] are frozen for the rest of the
-   slice once one checkpoint has seen them. [sp_checked] is set before
-   the checkpoint runs: if the checkpoint parks (yields), [resume] clears
-   the flag, and the loop re-checks against whatever world greeted the
-   wakeup. The quantum check is preserved on every call so preemption
-   yields land at the same simulated instants as the per-op path. *)
-let safe_point_run ctx =
-  let th = ctx.th in
-  while not th.sp_checked do
-    th.sp_checked <- true;
-    checkpoint ctx
-  done;
-  let c = core_of ctx in
-  if c.clock - th.slice_start >= ctx.m.cfg.quantum then quantum_yield ctx
 
 let yield ctx =
   checkpoint ctx;
@@ -709,25 +683,12 @@ let translate ctx va =
 
 (* ---- data access ---- *)
 
-let data_access ctx cap ~width ~write ~op =
+(* A data access at virtual address [va] authorized by [cap]:
+   semantically the access through [Capability.set_addr cap va], without
+   materialising the moved capability. The moved capability is only
+   built for the (run-ending) fault payload. *)
+let data_access ctx cap va ~width ~write ~op =
   safe_point ctx;
-  let ok = if write then Capability.can_store ~width cap else Capability.can_load ~width cap in
-  if not ok then
-    raise (Capability_fault { cap; op; vaddr = Capability.addr cap });
-  let va = Capability.addr cap in
-  let e = translate_entry ctx va ~write in
-  let pa = Phys.frame_addr e.Tlb.pte.Pte.frame + (va land (page_size - 1)) in
-  charge ctx (Cache.access (core_of ctx).cache ~addr:pa ~write);
-  pa
-
-(* Address-parameterized twin of [data_access]: semantically the access
-   [f ctx (Capability.set_addr cap va)] without materialising the moved
-   capability, and with the batched [safe_point_run] in place of the
-   per-op [safe_point] (same observable behaviour, see above). The moved
-   capability is only built on the (run-ending) fault path, so the fault
-   payload matches the reference access byte for byte. *)
-let data_access_at ctx cap va ~width ~write ~op =
-  safe_point_run ctx;
   let ok =
     if write then Capability.can_store_at ~width cap ~addr:va
     else Capability.can_load_at ~width cap ~addr:va
@@ -740,26 +701,32 @@ let data_access_at ctx cap va ~width ~write ~op =
   pa
 
 let load_u64 ctx cap =
-  let pa = data_access ctx cap ~width:8 ~write:false ~op:"load_u64" in
+  let pa =
+    data_access ctx cap (Capability.addr cap) ~width:8 ~write:false ~op:"load_u64"
+  in
   Mem.read_u64 ctx.m.mem pa
 
 let store_u64 ctx cap v =
-  let pa = data_access ctx cap ~width:8 ~write:true ~op:"store_u64" in
+  let pa =
+    data_access ctx cap (Capability.addr cap) ~width:8 ~write:true ~op:"store_u64"
+  in
   Mem.write_u64 ctx.m.mem pa v
 
 let touch_u64_at ctx cap va =
-  ignore (data_access_at ctx cap va ~width:8 ~write:false ~op:"load_u64")
+  ignore (data_access ctx cap va ~width:8 ~write:false ~op:"load_u64")
 
 let store_u64_at ctx cap va v =
-  let pa = data_access_at ctx cap va ~width:8 ~write:true ~op:"store_u64" in
+  let pa = data_access ctx cap va ~width:8 ~write:true ~op:"store_u64" in
   Mem.write_u64 ctx.m.mem pa v
 
 let load_u64_bit ctx cap va ~bit =
-  let pa = data_access_at ctx cap va ~width:8 ~write:false ~op:"load_u64" in
+  let pa = data_access ctx cap va ~width:8 ~write:false ~op:"load_u64" in
   Mem.read_u64_bit ctx.m.mem pa bit
 
 let rmw_u64 ctx cap f =
-  let pa = data_access ctx cap ~width:8 ~write:true ~op:"rmw_u64" in
+  let pa =
+    data_access ctx cap (Capability.addr cap) ~width:8 ~write:true ~op:"rmw_u64"
+  in
   (* one extra cache access for the read half; no safe point in between *)
   charge ctx (Cache.access (core_of ctx).cache ~addr:pa ~write:false);
   let old = Mem.read_u64 ctx.m.mem pa in
@@ -767,7 +734,8 @@ let rmw_u64 ctx cap f =
   old
 
 let touch ctx cap ~write =
-  ignore (data_access ctx cap ~width:1 ~write ~op:"touch")
+  ignore
+    (data_access ctx cap (Capability.addr cap) ~width:1 ~write ~op:"touch")
 
 let granule = Mem.granule
 
@@ -792,12 +760,11 @@ let zero ctx cap =
     va := chunk_end
   done
 
-(* Shared body of [load_cap] and [load_cap_at]: the authorizing
-   capability plus an explicit virtual address ([Capability.addr cap] on
-   the reference path). [fast] selects the batched safe point; the moved
-   capability is only constructed for fault payloads. *)
-let rec load_cap_body ctx cap va ~fast =
-  if fast then safe_point_run ctx else safe_point ctx;
+(* [load_cap] at an explicit virtual address: the authorizing
+   capability is not moved, and the moved capability is only
+   constructed for fault payloads. *)
+let rec load_cap_at ctx cap va =
+  safe_point ctx;
   if not (Capability.can_load_at ~width:granule cap ~addr:va) then
     raise
       (Capability_fault
@@ -832,7 +799,7 @@ let rec load_cap_body ctx cap va ~fast =
         Tlb.refresh e;
         if e.Tlb.clg_snapshot <> c.clg && not e.Tlb.pte.Pte.load_trap then
           failwith "CLG fault handler did not update the generation");
-    load_cap_body ctx cap va ~fast
+    load_cap_at ctx cap va
   end
   else begin
     let v = Mem.read_cap ctx.m.mem pa in
@@ -848,11 +815,10 @@ let rec load_cap_body ctx cap va ~fast =
       | Some _ | None -> v
   end
 
-let load_cap ctx cap = load_cap_body ctx cap (Capability.addr cap) ~fast:false
-let load_cap_at ctx cap va = load_cap_body ctx cap va ~fast:true
+let load_cap ctx cap = load_cap_at ctx cap (Capability.addr cap)
 
-let store_cap_body ctx cap va v ~fast =
-  if fast then safe_point_run ctx else safe_point ctx;
+let store_cap_at ctx cap va v =
+  safe_point ctx;
   if not (Capability.can_store_at ~width:granule cap ~addr:va) then
     raise
       (Capability_fault
@@ -883,8 +849,7 @@ let store_cap_body ctx cap va v ~fast =
   end;
   Mem.write_cap ctx.m.mem pa v
 
-let store_cap ctx cap v = store_cap_body ctx cap (Capability.addr cap) v ~fast:false
-let store_cap_at ctx cap va v = store_cap_body ctx cap va v ~fast:true
+let store_cap ctx cap v = store_cap_at ctx cap (Capability.addr cap) v
 
 (* ---- kernel-mode physical access ---- *)
 
@@ -931,12 +896,6 @@ let kern_access ctx ~pa ~write =
   charge ctx (Cache.access (core_of ctx).cache ~addr:pa ~write)
 
 let tag_hook_armed m = m.tag_hook <> None
-
-let chaos_armed m =
-  m.tag_hook <> None || m.ack_hook <> None || m.drain_hook <> None
-  || m.sched_oracle <> None
-
-let load_filter_armed m = Hashtbl.length m.load_filters > 0
 
 (* Batched sweep read of [count] consecutive known-untagged granules in
    one cache line: a single charge covering exactly what [count]
@@ -1120,7 +1079,6 @@ let resume m th =
     th.cpu <- th.cpu + Cost.aspace_switch
   end;
   th.slice_start <- c.clock;
-  th.sp_checked <- false;
   m.seq <- m.seq + 1;
   th.last_ran <- m.seq;
   th.state <- Running;

@@ -147,15 +147,6 @@ val safe_point : ctx -> unit
     stop-the-world is pending. Simulated programs call this (or any
     memory operation, which calls it implicitly) often. *)
 
-val safe_point_run : ctx -> unit
-(** Batched safe point for tight op-stream loops: observably identical
-    to {!safe_point} — the quantum check still runs on every call, so
-    preemption lands at the same simulated instants — but the
-    stop-the-world checkpoint is re-executed only on the first call
-    after each resume. Sound because the scheduler is cooperative and
-    single-domain: no stop-the-world can be installed, nor this thread
-    added to a pending set, while it runs uninterrupted. *)
-
 val sleep : ctx -> int -> unit
 (** Block for the given number of cycles of wall time (off core). *)
 
@@ -319,11 +310,9 @@ val touch : ctx -> Cheri.Capability.t -> write:bool -> unit
 
     Each [*_at] operation is semantically the corresponding plain
     operation applied to [Capability.set_addr cap addr], without
-    allocating the moved capability, and with the {!safe_point_run}
-    batched checkpoint in place of the per-op {!safe_point} (observably
-    identical — see {!safe_point_run}). Identical charges, faults,
-    load-barrier and filter behaviour; the compiled op-stream
-    interpreter's access path. *)
+    allocating the moved capability. Identical safe points, charges,
+    faults, load-barrier and filter behaviour; the SPEC trace engine's
+    access path. *)
 
 val touch_u64_at : ctx -> Cheri.Capability.t -> int -> unit
 (** [load_u64] at the given address with the value discarded — no
@@ -360,21 +349,6 @@ val kern_read_cap_stream : ctx -> pa:int -> Cheri.Capability.t
 val tag_hook_armed : t -> bool
 (** A chaos tag-read hook is installed: per-granule kernel reads must be
     used on the sweep path so every read consults the hook. *)
-
-val chaos_armed : t -> bool
-(** Any fault-injection hook (tag read, shootdown ack, syscall drain) or
-    scheduling oracle is installed. Drivers with a precompiled fast path
-    (the op-stream interpreter) consult this to fall back to their
-    reference loop: fault campaigns are about failure semantics, not
-    throughput, and the reference interpreter is the authoritative
-    semantics when threads can be torn down or epochs aborted mid-run. *)
-
-val load_filter_armed : t -> bool
-(** A capability-load filter is installed for some address space
-    (CHERIoT-style load barrier, {!set_cap_load_filter}). Filters may
-    strip tags on loads of {e live} data the program will touch again,
-    which precompiled op streams cannot predict — another reason to
-    fall back to the reference interpreter. *)
 
 val kern_read_untagged_run : ?non_temporal:bool -> ctx -> pa:int -> count:int -> unit
 (** Batched cost of reading [count] consecutive known-untagged granules

@@ -29,27 +29,26 @@ let create rt ctx ~slots =
     nlive = 0;
   }
 
-
 let slots t = t.nslots
-let chunk_count t = Array.length t.chunks
-
-let chunk_cap t i =
-  if i < 0 || i >= Array.length t.chunks then
-    invalid_arg "Objtable: chunk out of range";
-  t.chunks.(i)
 let live_count t = t.nlive
 let is_live t i = Bytes.get t.live i <> '\000'
 let size_of t i = t.sizes.(i)
 
-let slot_cap t i =
+(* Slots are addressed as their chunk's capability plus a virtual
+   address, so no moved capability is built per access. *)
+let chunk t i =
   if i < 0 || i >= t.nslots then invalid_arg "Objtable: slot out of range";
-  let chunk = t.chunks.(i / chunk_slots) in
-  Capability.set_addr chunk (Capability.base chunk + (i mod chunk_slots * granule))
+  t.chunks.(i / chunk_slots)
 
-let get t ctx i = Machine.load_cap ctx (slot_cap t i)
+let slot_va chunk i = Capability.base chunk + (i mod chunk_slots * granule)
+
+let get t ctx i =
+  let chunk = chunk t i in
+  Machine.load_cap_at ctx chunk (slot_va chunk i)
 
 let put t ctx i c ~size =
-  Machine.store_cap ctx (slot_cap t i) c;
+  let chunk = chunk t i in
+  Machine.store_cap_at ctx chunk (slot_va chunk i) c;
   if not (is_live t i) then begin
     Bytes.set t.live i '\001';
     t.nlive <- t.nlive + 1

@@ -20,21 +20,6 @@ type t
 val create : Ccr.Runtime.t -> Sim.Machine.ctx -> slots:int -> t
 (** Allocates the table chunks from the runtime's heap. *)
 
-val granule : int
-(** Bytes per table slot (one capability granule). *)
-
-val chunk_slots : int
-(** Slots per table chunk; chunk [i] covers slots
-    [i * chunk_slots .. (i + 1) * chunk_slots - 1]. *)
-
-val chunk_count : t -> int
-
-val chunk_cap : t -> int -> Cheri.Capability.t
-(** The "global" capability to table chunk [i]. Compiled op-stream
-    executors address slots through these directly (slot [s] lives at
-    [base (chunk_cap t (s / chunk_slots)) + s mod chunk_slots * granule])
-    instead of materialising a moved capability per access. *)
-
 val slots : t -> int
 val live_count : t -> int
 val is_live : t -> int -> bool

@@ -12,6 +12,10 @@ let r_work = 1
 let r_chase = 2
 let r_recent = 3
 
+(* Every access addresses memory as an authorizing capability plus a
+   virtual address (the [Machine.*_at] helpers), so no moved capability
+   is built per access. *)
+
 (* Initialize a fresh object's body: a bounded number of stores, a
    [ptr_density] fraction of which are capability stores of the most
    recently used object (creating inter-object pointers that revocation
@@ -22,13 +26,13 @@ let init_body (p : Profile.t) ctx rng regs cap =
   let base = Capability.base cap in
   for _ = 1 to stores do
     let g = Prng.int rng granules in
-    let slot = Capability.set_addr cap (base + (g * granule)) in
+    let va = base + (g * granule) in
     if Prng.float rng 1.0 < p.Profile.ptr_density then begin
       let v = Sim.Regfile.get regs r_recent in
-      if Capability.tag v then Machine.store_cap ctx slot v
-      else Machine.store_u64 ctx slot (Int64.of_int g)
+      if Capability.tag v then Machine.store_cap_at ctx cap va v
+      else Machine.store_u64_at ctx cap va (Int64.of_int g)
     end
-    else Machine.store_u64 ctx slot (Int64.of_int g)
+    else Machine.store_u64_at ctx cap va (Int64.of_int g)
   done
 
 let alloc_into (p : Profile.t) rt ctx rng regs table slot =
@@ -52,14 +56,13 @@ let access_op (p : Profile.t) ctx rng regs table =
         Sim.Regfile.set regs r_recent c;
         let len = Capability.length c in
         let base = Capability.base c in
-        let window = min len 32768 in
-        let word_at g = Capability.set_addr c (base + (g * granule)) in
+        let words = min len 32768 / granule in
         for _ = 1 to p.Profile.reads_per_op do
-          ignore (Machine.load_u64 ctx (word_at (Prng.int rng (window / granule))))
+          Machine.touch_u64_at ctx c (base + (Prng.int rng words * granule))
         done;
         for _ = 1 to p.Profile.writes_per_op do
-          Machine.store_u64 ctx
-            (word_at (Prng.int rng (window / granule)))
+          Machine.store_u64_at ctx c
+            (base + (Prng.int rng words * granule))
             (Int64.of_int slot)
         done;
         (* pointer chase: follow capabilities stored in object bodies *)
@@ -70,11 +73,10 @@ let access_op (p : Profile.t) ctx rng regs table =
           if clen >= granule then begin
             let g = Prng.int rng (clen / granule) in
             let addr = Capability.base cur + (g * granule) in
-            let next = Machine.load_cap ctx (Capability.set_addr cur addr) in
+            let next = Machine.load_cap_at ctx cur addr in
             if Capability.tag next && Capability.can_load next then begin
               Sim.Regfile.set regs r_chase next;
-              ignore
-                (Machine.load_u64 ctx (Capability.set_addr next (Capability.base next)));
+              Machine.touch_u64_at ctx next (Capability.base next);
               cursor := next
             end
             else Machine.charge ctx Sim.Cost.alu
@@ -135,8 +137,10 @@ let app_body (p : Profile.t) rt ~rng ~ops ~ops_done ctx =
 type interp = Reference | Compiled
 
 let run ?(seed = 1) ?(ops_scale = 1.0) ?policy ?(non_temporal = false)
-    ?(allocator = Runtime.Snmalloc) ?tracer ?on_runtime ?(interp = Compiled)
-    ~mode (p : Profile.t) =
+    ?(allocator = Runtime.Snmalloc) ?tracer ?on_runtime ?interp:_ ~mode
+    (p : Profile.t) =
+  if not (Float.is_finite ops_scale && ops_scale >= 0.0) then
+    invalid_arg (Printf.sprintf "Spec.run: ops_scale %g" ops_scale);
   let heap_bytes = Profile.heap_bytes_needed p in
   let config =
     {
@@ -154,27 +158,11 @@ let run ?(seed = 1) ?(ops_scale = 1.0) ?policy ?(non_temporal = false)
   (match on_runtime with Some f -> f rt | None -> ());
   let rng = Prng.create ~seed:(seed * 7919) in
   let ops = int_of_float (float_of_int p.Profile.ops *. ops_scale) in
-  (* Compile after [on_runtime]: chaos hooks installed there can break
-     the compiler's machine-state assumptions (tagged live slots,
-     size-class-predicted lengths), so such runs take the reference
-     interpreter — as do load-filter barriers (CHERIoT), which may strip
-     a live slot's tag at load time, a machine-dependent outcome the
-     compiled draw schedule cannot represent. Both paths consume the
-     same PRNG stream. *)
-  let stream =
-    match interp with
-    | Compiled when (not (Machine.chaos_armed m)) && not (Machine.load_filter_armed m)
-      ->
-        Some (Opstream.compile p ~rng ~ops)
-    | Compiled | Reference -> None
-  in
   let wall_end = ref 0 in
   let ops_done = ref 0 in
   let app =
     Machine.spawn m ~name:"app" ~core:3 (fun ctx ->
-        (match stream with
-        | Some s -> Opstream.exec s p rt ctx ~ops_done
-        | None -> app_body p rt ~rng ~ops ~ops_done ctx);
+        app_body p rt ~rng ~ops ~ops_done ctx;
         wall_end := Machine.now ctx;
         Runtime.finish rt ctx)
   in

@@ -22,10 +22,11 @@ val app_body :
     {!Tenant.run} runs one per forked process. *)
 
 type interp =
-  | Reference  (** the original per-op interpreter ({!app_body}) *)
+  | Reference
   | Compiled
-      (** the {!Opstream} compiled path: bit-for-bit identical simulated
-          behaviour, much faster host execution *)
+(** Accepted and ignored: both values run {!app_body}, the only
+    interpreter. Kept so existing callers that pass [~interp] still
+    build. *)
 
 val run :
   ?seed:int ->
@@ -44,9 +45,7 @@ val run :
     results are paired. [on_runtime] is called with the freshly-built
     runtime after the tracer is attached but before any thread runs —
     the hook analyses (sanitizer, race detector) use to subscribe.
+    [interp] is ignored (see {!interp}).
 
-    [interp] defaults to [Compiled]; runs that arm chaos hooks
-    ({!Sim.Machine.chaos_armed}) or a capability-load filter barrier
-    ({!Sim.Machine.load_filter_armed}, the CHERIoT strategy)
-    automatically fall back to [Reference], whose per-op interpretation
-    tolerates the machine states those can manufacture. *)
+    @raise Invalid_argument if [ops_scale] is negative or not finite;
+    [0.0] is legal and runs only the table warm-up. *)

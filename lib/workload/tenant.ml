@@ -29,6 +29,8 @@ type result = {
 let run ?(seed = 1) ?(ops_scale = 1.0) ?policy ?(sched = Os.Revsched.Round_robin)
     ?(tenants = 2) ?tracer ?on_os ~mode (p : Profile.t) =
   if tenants < 1 then invalid_arg "Tenant.run: tenants";
+  if not (Float.is_finite ops_scale && ops_scale >= 0.0) then
+    invalid_arg (Printf.sprintf "Tenant.run: ops_scale %g" ops_scale);
   let heap_bytes = Profile.heap_bytes_needed p in
   let config =
     {

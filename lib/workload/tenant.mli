@@ -43,6 +43,9 @@ val run :
     process table after the tracer is attached but before any thread
     runs — analyses use it to register per-process shadow state via
     {!Os.set_on_process}. The same [seed] produces the same per-tenant
-    streams across modes and scheduling policies. *)
+    streams across modes and scheduling policies.
+
+    @raise Invalid_argument if [tenants < 1], or if [ops_scale] is
+    negative or not finite. *)
 
 val pp : Format.formatter -> result -> unit

@@ -177,6 +177,56 @@ let test_spec_overhead_ordering () =
   check "reloaded at most cherivoke-ish" true
     (float_of_int rel < 1.05 *. float_of_int chv)
 
+(* ---- bad operation-count scales ---- *)
+
+(* Non-finite and negative scales fail loudly; 0.0 stays legal (a run
+   of the table warm-up alone). *)
+let bad_scales = [ Float.nan; Float.infinity; Float.neg_infinity; -0.5 ]
+
+let raises_invalid f =
+  match f () with _ -> false | exception Invalid_argument _ -> true
+
+let test_spec_bad_scale () =
+  List.iter
+    (fun s ->
+      check (Printf.sprintf "Spec.run ops_scale %g" s) true
+        (raises_invalid (fun () ->
+             Workload.Spec.run ~ops_scale:s ~mode:Ccr.Runtime.Baseline tiny)))
+    bad_scales;
+  let r = Workload.Spec.run ~ops_scale:0.0 ~mode:Ccr.Runtime.Baseline tiny in
+  check_int "zero scale runs no ops" 0 r.Result.ops_done
+
+let test_tenant_bad_scale () =
+  List.iter
+    (fun s ->
+      check (Printf.sprintf "Tenant.run ops_scale %g" s) true
+        (raises_invalid (fun () ->
+             Workload.Tenant.run ~ops_scale:s ~mode:Ccr.Runtime.Baseline tiny)))
+    bad_scales;
+  let r = Workload.Tenant.run ~ops_scale:0.0 ~mode:Ccr.Runtime.Baseline tiny in
+  check_int "zero scale runs no ops" 0 r.Workload.Tenant.total_ops
+
+(* The CLIs reject the same values with exit status 1 before running. *)
+let test_cli_bad_scale () =
+  let exe name =
+    Filename.quote
+      (Filename.concat (Filename.dirname Sys.executable_name)
+         (Filename.concat Filename.parent_dir_name
+            (Filename.concat "bin" name)))
+  in
+  List.iter
+    (fun (exe_name, args) ->
+      let cmd = String.concat " " (exe exe_name :: args) in
+      check_int cmd 1 (Sys.command (cmd ^ " >/dev/null 2>&1")))
+    (List.concat_map
+       (fun v ->
+         [
+           ("ccr_sim.exe", [ "spec"; "-w"; "omnetpp"; "--scale"; v ]);
+           ("ccr_sim.exe", [ "tenant"; "--scale"; v ]);
+           ("ccr_check.exe", [ "--scale"; v ]);
+         ])
+       [ "nan"; "inf"; "0" ])
+
 (* ---- pgbench ---- *)
 
 let pg_tiny =
@@ -237,6 +287,14 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_spec_deterministic;
           Alcotest.test_case "modes complete" `Slow test_spec_modes_complete;
           Alcotest.test_case "overhead ordering" `Slow test_spec_overhead_ordering;
+        ] );
+      ( "scale",
+        [
+          Alcotest.test_case "Spec.run rejects bad values" `Quick
+            test_spec_bad_scale;
+          Alcotest.test_case "Tenant.run rejects bad values" `Quick
+            test_tenant_bad_scale;
+          Alcotest.test_case "CLIs reject bad values" `Quick test_cli_bad_scale;
         ] );
       ( "pgbench",
         [
