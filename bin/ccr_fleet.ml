@@ -287,7 +287,8 @@ let fleet hostss balancers failuress modes qps requests users governed
     List.iter
       (fun h -> if h < 1 then err "every --hosts count must be at least 1 (got %d)" h)
       hostss;
-    if qps <= 0.0 then err "--qps must be positive";
+    if not (Float.is_finite qps && qps > 0.0) then
+      err "--qps must be finite and positive (got %g)" qps;
     if users < 1 then err "--users must be at least 1";
     if servers_per_host < 1 then err "--servers-per-host must be at least 1";
     if queue_depth < 1 then err "--queue-depth must be at least 1";

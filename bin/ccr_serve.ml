@@ -196,8 +196,8 @@ let serve modes qpss governor requests servers queue_depth deadline_us
     Format.eprintf "ccr_serve: --requests must be at least 1 (got %d)@." requests;
     1
   end
-  else if List.exists (fun q -> q <= 0.0) qpss then begin
-    Format.eprintf "ccr_serve: every --qps must be positive@.";
+  else if List.exists (fun q -> not (Float.is_finite q && q > 0.0)) qpss then begin
+    Format.eprintf "ccr_serve: every --qps must be finite and positive@.";
     1
   end
   else begin

@@ -175,8 +175,10 @@ let pgbench_cmd =
         transactions;
       1
     end
-    else if (match rate with Some r -> r <= 0.0 | None -> false) then begin
-      Format.eprintf "ccr_sim pgbench: --rate must be positive@.";
+    else if
+      match rate with Some r -> not (Float.is_finite r && r > 0.0) | None -> false
+    then begin
+      Format.eprintf "ccr_sim pgbench: --rate must be finite and positive@.";
       1
     end
     else begin
@@ -496,7 +498,8 @@ let tenantecon_cmd =
       if phys_frac <= 0.0 then
         err "--phys-frac must be positive (got %g)" phys_frac;
       if requests < 1 then err "--requests must be at least 1 (got %d)" requests;
-      if rate <= 0.0 then err "--rate must be positive (got %g)" rate;
+      if not (Float.is_finite rate && rate > 0.0) then
+        err "--rate must be finite and positive (got %g)" rate;
       let overcommits = overcommits_of_string overcommit in
       if overcommits = [] then err "--overcommit lists no policy";
       let cfg =

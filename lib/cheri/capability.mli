@@ -88,12 +88,13 @@ val can_store : ?width:int -> t -> bool
 val can_load_cap : t -> bool
 val can_store_cap : t -> bool
 
-val can_load_at : ?width:int -> t -> addr:int -> bool
-(** [can_load_at c ~addr] is [can_load ?width (set_addr c addr)] without
-    allocating the moved capability — the check the machine's
-    address-parameterized access path uses. *)
+val can_load_at : width:int -> t -> addr:int -> bool
+(** [can_load_at ~width c ~addr] is [can_load ~width (set_addr c addr)]
+    without allocating the moved capability — the check the machine's
+    address-parameterized access path uses. [width] is required so the
+    per-access call boxes no option. *)
 
-val can_store_at : ?width:int -> t -> addr:int -> bool
+val can_store_at : width:int -> t -> addr:int -> bool
 val can_load_cap_at : t -> addr:int -> bool
 val can_store_cap_at : t -> addr:int -> bool
 

@@ -301,6 +301,15 @@ let eligible_time m th =
       | _ -> None)
   | Running | Waiting _ | Parked _ | Finished -> None
 
+(* Whether every thread of [threads] other than [th] is unschedulable or
+   eligible strictly after [tmine]. *)
+let rec others_later m th tmine = function
+  | [] -> true
+  | other :: rest ->
+      (other.tid = th.tid
+      || match eligible_time m other with None -> true | Some t -> t > tmine)
+      && others_later m th tmine rest
+
 (* Sole-eligible yield fast path: when yielding at [tmine] while every
    other thread is either unschedulable or strictly later, [pick] is
    guaranteed to choose this very thread again with nothing running in
@@ -314,14 +323,7 @@ let eligible_time m th =
 let sole_eligible m th tmine =
   (match m.stw with None -> true | Some _ -> false)
   && (match m.sched_oracle with None -> true | Some _ -> false)
-  && List.for_all
-       (fun other ->
-         other.tid = th.tid
-         ||
-         match eligible_time m other with
-         | None -> true
-         | Some t -> t > tmine)
-       m.threads
+  && others_later m th tmine m.threads
 
 (* [resume]'s self-resume bookkeeping, exactly: same-core, same-resident,
    same-aspace, so no context-switch or TLB work applies. *)
@@ -717,7 +719,7 @@ let touch_u64_at ctx cap va =
 
 let store_u64_at ctx cap va v =
   let pa = data_access ctx cap va ~width:8 ~write:true ~op:"store_u64" in
-  Mem.write_u64 ctx.m.mem pa v
+  Mem.write_int ctx.m.mem pa v
 
 let load_u64_bit ctx cap va ~bit =
   let pa = data_access ctx cap va ~width:8 ~write:false ~op:"load_u64" in

@@ -318,7 +318,10 @@ val touch_u64_at : ctx -> Cheri.Capability.t -> int -> unit
 (** [load_u64] at the given address with the value discarded — no
     simulated state differs from the load. *)
 
-val store_u64_at : ctx -> Cheri.Capability.t -> int -> int64 -> unit
+val store_u64_at : ctx -> Cheri.Capability.t -> int -> int -> unit
+(** [store_u64] at the given address of the sign-extended integer
+    ([Int64.of_int v]): the same bytes, with no [Int64] boxed per store. *)
+
 val load_cap_at : ctx -> Cheri.Capability.t -> int -> Cheri.Capability.t
 val store_cap_at : ctx -> Cheri.Capability.t -> int -> Cheri.Capability.t -> unit
 

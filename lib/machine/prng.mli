@@ -1,7 +1,11 @@
 (** Deterministic pseudo-random numbers (splitmix64).
 
     Every stochastic choice in the simulator draws from an explicit
-    generator so whole runs are reproducible from a seed. *)
+    generator so whole runs are reproducible from a seed.
+
+    The 64-bit state is kept unboxed (in an 8-byte buffer), and every
+    draw below computes inside this module, so [int] and [bool] allocate
+    nothing on the host; only [next] returns a boxed [int64]. *)
 
 type t
 

@@ -90,9 +90,20 @@ let user_stream ~seed ~population ~requests =
   let rng = Prng.create ~seed:(seed lxor 0x7573_6572 (* "user" *)) in
   Array.init requests (fun _ -> Prng.int rng population)
 
+let rates = function
+  | Poisson r -> [ r ]
+  | Bursty { base; peak; _ } -> [ base; peak ]
+  | Ramp { from_rate; to_rate } -> [ from_rate; to_rate ]
+  | Diurnal { low; high; _ } -> [ low; high ]
+
 let schedule cfg =
   if cfg.requests < 0 then
     invalid_arg "Loadgen.schedule: negative request count";
+  List.iter
+    (fun r ->
+      if not (Float.is_finite r && r > 0.0) then
+        invalid_arg (Printf.sprintf "Loadgen.schedule: rate %g req/s" r))
+    (rates cfg.pattern);
   let rng = Prng.create ~seed:cfg.seed in
   let arr = Array.make (max cfg.requests 1) 0 in
   let t_us = ref 0.0 in

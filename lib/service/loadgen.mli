@@ -27,7 +27,9 @@ val pattern_name : pattern -> string
 val schedule : config -> int array
 (** Intended arrival times in cycles, nondecreasing, length
     [config.requests]. Instantaneous rates are clamped to ≥ 1 req/s.
-    Deterministic: equal configs give equal arrays. *)
+    Deterministic: equal configs give equal arrays. Raises
+    [Invalid_argument] on a negative request count or a pattern rate
+    that is not finite and positive. *)
 
 type cls = Critical | Normal | Background
 (** Request priority classes, most to least important. Brownout

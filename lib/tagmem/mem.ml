@@ -149,7 +149,9 @@ let read_u64_bit m a bit =
     invalid_arg (Printf.sprintf "Mem.read_u64_bit: bit %d outside [0, 64)" bit);
   byte m (a + (bit lsr 3)) land (1 lsl (bit land 7)) <> 0
 
-let write_u64 m a v =
+(* Inlined into both stores, so [write_int]'s sign-extended word is never
+   boxed. *)
+let[@inline] store_u64 m a v =
   check m a 8;
   if in_frame a then Bytes.set_int64_le (frame_w m a) (a land page_mask) v
   else
@@ -157,6 +159,9 @@ let write_u64 m a v =
       set_byte m (a + i) (Int64.to_int (Int64.shift_right_logical v (8 * i)))
     done;
   clear_tags_range m a 8
+
+let write_u64 m a v = store_u64 m a v
+let write_int m a v = store_u64 m a (Int64.of_int v)
 
 let aligned a = a land (granule - 1) = 0
 

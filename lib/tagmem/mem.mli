@@ -42,6 +42,11 @@ val write_u64 : t -> int -> int64 -> unit
 (** 8-byte little-endian accesses; need not be aligned. Writes clear the
     tags of all touched granules. *)
 
+val write_int : t -> int -> int -> unit
+(** [write_int m a v] is [write_u64 m a (Int64.of_int v)] (the
+    sign-extended word) without boxing it: the store the machine's
+    integer access path uses. *)
+
 val read_u64_bit : t -> int -> int -> bool
 (** [read_u64_bit m a bit] is
     [Int64.logand (read_u64 m a) (Int64.shift_left 1L bit) <> 0L] for

@@ -62,19 +62,17 @@ let kill t i =
   end
 
 (* Linear-probe from a random start for a slot with the wanted liveness;
-   O(slots) worst case but O(1) in the regimes the workloads run at. *)
+   O(slots) worst case but O(1) in the regimes the workloads run at. A
+   top-level loop, so no closure is built per probe. *)
+let rec probe_from t ~lo ~hi ~want i n =
+  if n = 0 then None
+  else if is_live t i = want then Some i
+  else probe_from t ~lo ~hi ~want (if i + 1 >= hi then lo else i + 1) (n - 1)
+
 let probe t rng ~lo ~hi ~want =
   let span = hi - lo in
   if span <= 0 then None
-  else begin
-    let start = lo + Prng.int rng span in
-    let rec go i n =
-      if n = 0 then None
-      else if is_live t i = want then Some i
-      else go (if i + 1 >= hi then lo else i + 1) (n - 1)
-    in
-    go start span
-  end
+  else probe_from t ~lo ~hi ~want (lo + Prng.int rng span) span
 
 let random_live t rng ~hot ~weight =
   if t.nlive = 0 then None

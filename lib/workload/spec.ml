@@ -30,9 +30,9 @@ let init_body (p : Profile.t) ctx rng regs cap =
     if Prng.float rng 1.0 < p.Profile.ptr_density then begin
       let v = Sim.Regfile.get regs r_recent in
       if Capability.tag v then Machine.store_cap_at ctx cap va v
-      else Machine.store_u64_at ctx cap va (Int64.of_int g)
+      else Machine.store_u64_at ctx cap va g
     end
-    else Machine.store_u64_at ctx cap va (Int64.of_int g)
+    else Machine.store_u64_at ctx cap va g
   done
 
 let alloc_into (p : Profile.t) rt ctx rng regs table slot =
@@ -63,7 +63,7 @@ let access_op (p : Profile.t) ctx rng regs table =
         for _ = 1 to p.Profile.writes_per_op do
           Machine.store_u64_at ctx c
             (base + (Prng.int rng words * granule))
-            (Int64.of_int slot)
+            slot
         done;
         (* pointer chase: follow capabilities stored in object bodies *)
         let cursor = ref c in

@@ -46,6 +46,153 @@ let test_prng_ranges () =
     check "pareto >= scale" true (p >= 3.0)
   done
 
+(* The generator as it was with its state in a mutable [int64] record
+   field, kept verbatim: the unboxed generator must reproduce its streams
+   bit for bit. *)
+module Boxed_prng = struct
+  type t = { mutable state : int64 }
+
+  let golden = 0x9E3779B97F4A7C15L
+
+  let mix z =
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
+    Int64.logxor z (Int64.shift_right_logical z 31)
+
+  let create ~seed = { state = mix (Int64.of_int seed) }
+
+  let next t =
+    t.state <- Int64.add t.state golden;
+    mix t.state
+
+  let split t = { state = mix (Int64.logxor (next t) 0xA5A5A5A5DEADBEEFL) }
+
+  let int t n =
+    if n <= 0 then invalid_arg "Prng.int";
+    Int64.to_int (Int64.rem (Int64.logand (next t) Int64.max_int) (Int64.of_int n))
+
+  let float t bound =
+    let u =
+      Int64.to_float (Int64.shift_right_logical (next t) 11) /. 9007199254740992.0
+    in
+    u *. bound
+
+  let bool t = Int64.logand (next t) 1L = 1L
+
+  let exponential t ~mean =
+    let u = float t 1.0 in
+    let u = if u <= 0.0 then 1e-12 else u in
+    -.mean *. log u
+
+  let pareto t ~scale ~shape =
+    let u = float t 1.0 in
+    let u = if u <= 0.0 then 1e-12 else u in
+    scale /. (u ** (1.0 /. shape))
+
+  let geometric t ~p =
+    if p <= 0.0 || p > 1.0 then invalid_arg "Prng.geometric";
+    if p >= 1.0 then 0
+    else
+      let u = float t 1.0 in
+      let u = if u <= 0.0 then 1e-12 else u in
+      int_of_float (log u /. log (1.0 -. p))
+end
+
+type draw =
+  | Next
+  | Int of int
+  | Float of float
+  | Bool
+  | Exponential of float
+  | Pareto of float * float
+  | Geometric of float
+  | Split
+
+let show_draw = function
+  | Next -> "next"
+  | Int n -> Printf.sprintf "int %d" n
+  | Float b -> Printf.sprintf "float %h" b
+  | Bool -> "bool"
+  | Exponential m -> Printf.sprintf "exponential %h" m
+  | Pareto (sc, sh) -> Printf.sprintf "pareto %h %h" sc sh
+  | Geometric p -> Printf.sprintf "geometric %h" p
+  | Split -> "split"
+
+(* What a draw returned, floats as their bit patterns. *)
+type outcome = W of int64 | N of int | Raised of string | Split_off
+
+(* Run one interleaving. Each op names a generator of a pool that [Split]
+   grows, so streams of split-off children interleave with their
+   parents'. *)
+module Play (P : sig
+  type t
+
+  val create : seed:int -> t
+  val split : t -> t
+  val next : t -> int64
+  val int : t -> int -> int
+  val float : t -> float -> float
+  val bool : t -> bool
+  val exponential : t -> mean:float -> float
+  val pareto : t -> scale:float -> shape:float -> float
+  val geometric : t -> p:float -> int
+end) =
+struct
+  let run seed ops =
+    let pool = ref [| P.create ~seed |] in
+    List.map
+      (fun (k, d) ->
+        let g = !pool.(k mod Array.length !pool) in
+        let bits f = W (Int64.bits_of_float f) in
+        try
+          match d with
+          | Next -> W (P.next g)
+          | Int n -> N (P.int g n)
+          | Float b -> bits (P.float g b)
+          | Bool -> N (Bool.to_int (P.bool g))
+          | Exponential mean -> bits (P.exponential g ~mean)
+          | Pareto (scale, shape) -> bits (P.pareto g ~scale ~shape)
+          | Geometric p -> N (P.geometric g ~p)
+          | Split ->
+              pool := Array.append !pool [| P.split g |];
+              Split_off
+        with Invalid_argument e -> Raised e)
+      ops
+end
+
+module Play_boxed = Play (Boxed_prng)
+module Play_unboxed = Play (Prng)
+
+let draw_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, return Next);
+        ( 4,
+          map
+            (fun n -> Int n)
+            (frequency [ (4, int_range 1 1000); (2, int_range 1 max_int); (1, int_range (-2) 0) ]) );
+        (3, map (fun b -> Float b) (frequency [ (4, float_range 0.0 1e6); (1, float) ]));
+        (3, return Bool);
+        (1, map (fun m -> Exponential m) (float_range 1e-3 1e6));
+        (1, map2 (fun sc sh -> Pareto (sc, sh)) (float_range 0.1 100.0) (float_range 0.1 5.0));
+        ( 1,
+          map
+            (fun p -> Geometric p)
+            (frequency [ (4, float_range 0.0 1.0); (1, oneofl [ 0.0; 1.0; 1.5; -0.1 ]) ]) );
+        (1, return Split);
+      ])
+
+let prop_prng_unboxed_equals_boxed =
+  QCheck.Test.make ~name:"unboxed == boxed streams" ~count:300
+    (QCheck.make
+       ~print:(fun (seed, ops) ->
+         Printf.sprintf "seed %d: %s" seed
+           (String.concat "; "
+              (List.map (fun (k, d) -> Printf.sprintf "%d:%s" k (show_draw d)) ops)))
+       QCheck.Gen.(pair int (list_size (int_bound 200) (pair (int_bound 7) draw_gen))))
+    (fun (seed, ops) -> Play_boxed.run seed ops = Play_unboxed.run seed ops)
+
 (* ---- basic scheduling and time ---- *)
 
 let test_charge_advances_clock () =
@@ -420,6 +567,61 @@ let test_tlb_shootdown_refill () =
       check "refill pays the walk" true (refill_cost >= hit_cost + Cost.tlb_walk)));
   M.run m
 
+(* ---- host allocation on the access path ---- *)
+
+(* Minor-heap words allocated by [n] calls of [f] after a warm-up. *)
+let minor_words ?(n = 10_000) f =
+  for _ = 1 to 100 do
+    f ()
+  done;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  Gc.minor_words () -. w0
+
+(* Bytecode boxes what native code keeps in registers, so the counts
+   below hold in native code only. *)
+let native_only () = if Sys.backend_type <> Sys.Native then Alcotest.skip ()
+
+let test_prng_draws_allocate_nothing () =
+  native_only ();
+  let r = Prng.create ~seed:11 in
+  let acc = ref 0 in
+  let empty = minor_words (fun () -> ()) in
+  Alcotest.(check (float 0.0)) "Prng.int words" 0.0
+    (minor_words (fun () -> acc := !acc + Prng.int r 1000) -. empty);
+  Alcotest.(check (float 0.0)) "Prng.bool words" 0.0
+    (minor_words (fun () -> if Prng.bool r then incr acc) -. empty)
+
+(* A TLB-hot tagged granule, loaded and touched through the address-only
+   accessors; the integer stores alternate with capability stores so each
+   one hits a tagged granule. *)
+let test_access_path_allocation () =
+  native_only ();
+  let per_access =
+    with_app (fun _ ctx heap ->
+        let va = Cap.base heap + 128 and va' = Cap.base heap + 256 in
+        let v = Cap.set_bounds heap ~base:(Cap.base heap + 4096) ~length:256 in
+        M.store_cap_at ctx heap va v;
+        let n = 10_000 in
+        let per w = w /. float_of_int n in
+        [
+          ("load_cap_at", per (minor_words ~n (fun () -> ignore (M.load_cap_at ctx heap va))));
+          ("touch_u64_at", per (minor_words ~n (fun () -> M.touch_u64_at ctx heap va)));
+          ( "store_cap_at/store_u64_at",
+            per
+              (minor_words ~n (fun () ->
+                   M.store_cap_at ctx heap va' v;
+                   M.store_u64_at ctx heap va' (-7)))
+            /. 2.0 );
+        ])
+  in
+  List.iter
+    (fun (name, w) ->
+      if w >= 1.0 then Alcotest.failf "%s allocates %.2f words per access" name w)
+    per_access
+
 let () =
   Alcotest.run "machine"
     [
@@ -427,6 +629,7 @@ let () =
         [
           Alcotest.test_case "determinism" `Quick test_prng_determinism;
           Alcotest.test_case "ranges" `Quick test_prng_ranges;
+          QCheck_alcotest.to_alcotest prop_prng_unboxed_equals_boxed;
         ] );
       ( "scheduling",
         [
@@ -463,5 +666,11 @@ let () =
           Alcotest.test_case "untagged never faults" `Quick test_untagged_load_never_faults;
           Alcotest.test_case "load filter" `Quick test_load_filter_applies;
           Alcotest.test_case "shootdown refill" `Quick test_tlb_shootdown_refill;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "prng draws allocate nothing" `Quick
+            test_prng_draws_allocate_nothing;
+          Alcotest.test_case "access path under a word" `Quick test_access_path_allocation;
         ] );
     ]

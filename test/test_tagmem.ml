@@ -378,6 +378,7 @@ module type STORE = sig
   val write_u8 : t -> int -> int -> unit
   val read_u64 : t -> int -> int64
   val write_u64 : t -> int -> int64 -> unit
+  val write_int : t -> int -> int -> unit
   val read_u64_bit : t -> int -> int -> bool
   val read_cap : t -> int -> Cap.t
   val write_cap : t -> int -> Cap.t -> unit
@@ -397,6 +398,7 @@ let eq_size = (4 * 4096) + 1024
 type op =
   | W8 of int * int
   | W64 of int * int64
+  | Wint of int * int
   | Wcap of int * bool * int (* address, tagged, seed of the value *)
   | Clear of int
   | Fill of int * int * int
@@ -409,6 +411,7 @@ type op =
 let show_op = function
   | W8 (a, v) -> Printf.sprintf "W8(%d,%d)" a v
   | W64 (a, v) -> Printf.sprintf "W64(%d,%Ld)" a v
+  | Wint (a, v) -> Printf.sprintf "Wint(%d,%d)" a v
   | Wcap (a, t, s) -> Printf.sprintf "Wcap(%d,%b,%d)" a t s
   | Clear a -> Printf.sprintf "Clear %d" a
   | Fill (lo, hi, v) -> Printf.sprintf "Fill(%d,%d,%d)" lo hi v
@@ -447,6 +450,7 @@ module Drive (S : STORE) = struct
   let step m = function
     | W8 (a, v) -> guard (fun () -> S.write_u8 m a v; V 0)
     | W64 (a, v) -> guard (fun () -> S.write_u64 m a v; V 0)
+    | Wint (a, v) -> guard (fun () -> S.write_int m a v; V 0)
     | Wcap (a, tagged, s) -> guard (fun () -> S.write_cap m a (cap_of ~tagged s); V 0)
     | Clear a -> guard (fun () -> S.clear_tag m a; V 0)
     | Fill (lo, hi, v) -> guard (fun () -> S.fill m ~lo ~hi v; V 0)
@@ -487,7 +491,13 @@ module Drive (S : STORE) = struct
     List.rev !out
 end
 
-module DFlat = Drive (Flat)
+(* The flat store predates [write_int]; its meaning is the sign-extended
+   [write_u64]. *)
+module DFlat = Drive (struct
+  include Flat
+
+  let write_int m a v = write_u64 m a (Int64.of_int v)
+end)
 module DMem = Drive (Mem)
 
 (* Addresses cluster at frame boundaries, where the sparse store splits
@@ -516,6 +526,11 @@ let op_gen =
       [
         (3, map2 (fun a v -> W8 (a, v)) addr_gen byte_val);
         (3, map2 (fun a v -> W64 (a, v)) addr_gen int64);
+        ( 2,
+          map2
+            (fun a v -> Wint (a, v))
+            addr_gen
+            (frequency [ (3, int); (1, oneofl [ min_int; max_int; -1; 0 ]) ]) );
         (4, map3 (fun a t s -> Wcap (a, t, s)) gaddr_gen bool int);
         (2, map (fun a -> Clear a) addr_gen);
         (2, map3 (fun lo n v -> Fill (lo, lo + n, v)) addr_gen len byte_val);

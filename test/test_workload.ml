@@ -6,6 +6,7 @@ module Cap = Cheri.Capability
 module Profile = Workload.Profile
 module Objtable = Workload.Objtable
 module Result = Workload.Result
+module Loadgen = Service.Loadgen
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -206,8 +207,9 @@ let test_tenant_bad_scale () =
   let r = Workload.Tenant.run ~ops_scale:0.0 ~mode:Ccr.Runtime.Baseline tiny in
   check_int "zero scale runs no ops" 0 r.Workload.Tenant.total_ops
 
-(* The CLIs reject the same values with exit status 1 before running. *)
-let test_cli_bad_scale () =
+(* Each command, a CLI in bin/ with its arguments, exits with status 1
+   before running. *)
+let check_cli_rejects cases =
   let exe name =
     Filename.quote
       (Filename.concat (Filename.dirname Sys.executable_name)
@@ -218,6 +220,11 @@ let test_cli_bad_scale () =
     (fun (exe_name, args) ->
       let cmd = String.concat " " (exe exe_name :: args) in
       check_int cmd 1 (Sys.command (cmd ^ " >/dev/null 2>&1")))
+    cases
+
+(* The CLIs reject the same values with exit status 1 before running. *)
+let test_cli_bad_scale () =
+  check_cli_rejects
     (List.concat_map
        (fun v ->
          [
@@ -226,6 +233,50 @@ let test_cli_bad_scale () =
            ("ccr_check.exe", [ "--scale"; v ]);
          ])
        [ "nan"; "inf"; "0" ])
+
+(* ---- bad offered rates ---- *)
+
+(* Non-finite and non-positive rates fail loudly instead of producing a
+   schedule (NaN used to get past [rate <= 0.0] checks). *)
+let bad_rates = [ Float.nan; Float.infinity; Float.neg_infinity; 0.0; -5.0 ]
+
+let test_loadgen_bad_rate () =
+  let patterns r =
+    [
+      Loadgen.Poisson r;
+      Loadgen.Bursty { base = r; peak = 50_000.0; period_us = 1_000.0; duty = 0.5 };
+      Loadgen.Bursty { base = 5_000.0; peak = r; period_us = 1_000.0; duty = 0.5 };
+      Loadgen.Ramp { from_rate = r; to_rate = 50_000.0 };
+      Loadgen.Ramp { from_rate = 5_000.0; to_rate = r };
+      Loadgen.Diurnal { low = r; high = 50_000.0; period_us = 1_000.0 };
+      Loadgen.Diurnal { low = 5_000.0; high = r; period_us = 1_000.0 };
+    ]
+  in
+  List.iter
+    (fun r ->
+      List.iter
+        (fun pattern ->
+          check
+            (Printf.sprintf "%s rate %g" (Loadgen.pattern_name pattern) r)
+            true
+            (raises_invalid (fun () ->
+                 Loadgen.schedule { Loadgen.pattern; requests = 10; seed = 1 })))
+        (patterns r))
+    bad_rates
+
+(* [--qps=-1], not [--qps -1], which would parse as a flag. *)
+let test_cli_bad_qps () =
+  check_cli_rejects
+    (List.concat_map
+       (fun v ->
+         [
+           ("ccr_serve.exe", [ "--qps=" ^ v ]);
+           ("ccr_serve.exe", [ "--qps=50000," ^ v ]);
+           ("ccr_fleet.exe", [ "--qps=" ^ v ]);
+           ("ccr_sim.exe", [ "tenantecon"; "--rate=" ^ v ]);
+           ("ccr_sim.exe", [ "pgbench"; "--rate=" ^ v ]);
+         ])
+       [ "nan"; "inf"; "0"; "-1" ])
 
 (* ---- pgbench ---- *)
 
@@ -295,6 +346,12 @@ let () =
           Alcotest.test_case "Tenant.run rejects bad values" `Quick
             test_tenant_bad_scale;
           Alcotest.test_case "CLIs reject bad values" `Quick test_cli_bad_scale;
+        ] );
+      ( "qps",
+        [
+          Alcotest.test_case "Loadgen.schedule rejects bad rates" `Quick
+            test_loadgen_bad_rate;
+          Alcotest.test_case "CLIs reject bad values" `Quick test_cli_bad_qps;
         ] );
       ( "pgbench",
         [
