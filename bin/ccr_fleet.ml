@@ -292,10 +292,13 @@ let fleet hostss balancers failuress modes qps requests users governed
     if users < 1 then err "--users must be at least 1";
     if servers_per_host < 1 then err "--servers-per-host must be at least 1";
     if queue_depth < 1 then err "--queue-depth must be at least 1";
-    if target_p99 <= 0.0 then err "--target-p99-us must be positive";
+    if not (Float.is_finite target_p99 && target_p99 > 0.0) then
+      err "--target-p99-us must be finite and positive";
     if slices < 1 then err "--slices must be at least 1";
     Option.iter
-      (fun d -> if d <= 0.0 then err "--deadline-us must be positive")
+      (fun d ->
+        if not (Float.is_finite d && d > 0.0) then
+          err "--deadline-us must be finite and positive")
       deadline;
     if critical < 0.0 || background < 0.0 || critical +. background > 1.0 then
       err "--critical and --background must be nonnegative and sum to at most 1";

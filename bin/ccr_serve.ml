@@ -200,6 +200,26 @@ let serve modes qpss governor requests servers queue_depth deadline_us
     Format.eprintf "ccr_serve: every --qps must be finite and positive@.";
     1
   end
+  else if servers < 1 then begin
+    Format.eprintf "ccr_serve: --servers must be at least 1 (got %d)@." servers;
+    1
+  end
+  else if queue_depth < 1 then begin
+    Format.eprintf "ccr_serve: --queue-depth must be at least 1 (got %d)@." queue_depth;
+    1
+  end
+  else if
+    match deadline_us with
+    | Some d -> not (Float.is_finite d && d > 0.0)
+    | None -> false
+  then begin
+    Format.eprintf "ccr_serve: --deadline-us must be finite and positive@.";
+    1
+  end
+  else if not (Float.is_finite target_p99 && target_p99 > 0.0) then begin
+    Format.eprintf "ccr_serve: --target-p99-us must be finite and positive@.";
+    1
+  end
   else begin
     let cfg =
       {

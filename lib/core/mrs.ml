@@ -204,7 +204,7 @@ let finish t ctx =
   if dropped > 0 then begin
     t.abandoned <- t.abandoned + dropped;
     Machine.trace_emit t.m ~time:(Machine.now ctx) ~core:(Machine.core_id ctx)
-      ~pid:(Revoker.pid t.revoker) Sim.Trace.Quarantine_abandoned dropped
+      ~pid:(Revoker.pid t.revoker) ~arg2:0 Sim.Trace.Quarantine_abandoned dropped
   end;
   Revoker.request_shutdown t.revoker ctx
 

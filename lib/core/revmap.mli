@@ -27,9 +27,11 @@ val rebind : t -> aspace:Vm.Aspace.t -> unit
     region (exec), resetting the population counter. *)
 
 val paint : t -> Sim.Machine.ctx -> addr:int -> size:int -> unit
-(** Set the bits for [\[addr, addr+size)]. Word-at-a-time read-modify-
-    write through the user mapping. [addr]/[size] must be granule-
-    aligned heap addresses. *)
+(** Set the bits for [\[addr, addr+size)]. Word-at-a-time atomic
+    read-modify-write through the user mapping
+    ({!Sim.Machine.rmw_bits_at}), charged as {!Sim.Machine.rmw_u64} would
+    be; allocation-free with no tracer attached. [addr]/[size] must be
+    granule-aligned heap addresses. *)
 
 val clear : t -> Sim.Machine.ctx -> addr:int -> size:int -> unit
 (** Clear the bits (dequarantine). *)

@@ -111,14 +111,17 @@ type helper_mode =
   | Sweep_cheriot
   | Stop
 
+(* Pages content-swept and capabilities revoked by one share of a pass. *)
+type tally = { mutable pages : int; mutable revoked : int }
+
 type helper = {
   h_core : int;
   h_work_cv : Machine.condvar;
   h_done_cv : Machine.condvar;
-  mutable h_queue : int list;
+  mutable h_next : int; (* next index of [t.walk] to visit; < 0 = done *)
+  mutable h_stride : int;
   mutable h_mode : helper_mode;
-  mutable h_pages : int;
-  mutable h_revoked : int;
+  h_tally : tally;
   mutable h_failed : bool; (* an induced crash hit this helper's share *)
 }
 
@@ -137,6 +140,10 @@ type t = {
   hoards : Kernel.Hoard.t;
   work_cv : Machine.condvar;
   visit_set : (int, unit) Hashtbl.t; (* vpages that have held capabilities *)
+  mutable walk : int array;
+      (* the last heap walk's vpages, ascending, in [0, walk_n): reused
+         by every walk and only ever grown *)
+  mutable walk_n : int;
   mutable helpers : helper list;
   mutable queue : batch list; (* newest first *)
   mutable queued_bytes : int;
@@ -148,7 +155,6 @@ type t = {
   mutable fault_cycles : int;
   mutable fault_count : int;
   mutable revocations : int;
-  mutable total_bytes : int;
   mutable current_entries : (int * int) list;
   mutable barrier_armed : bool;
       (* Reloaded: set once the epoch-opening stop-the-world has completed,
@@ -172,9 +178,10 @@ type t = {
   mutable service_threads : Machine.thread list;
       (* the revoker thread + helpers, for exec-time aspace rebinding *)
   (* ---- crash-recovery state ---- *)
-  ck_done : (int, unit) Hashtbl.t;
-      (* pages fully visited by the current epoch's attempts: the sweep
-         checkpoint a crashed pass resumes from (Reloaded/CHERIoT) *)
+  mutable ck_done : Bytes.t;
+      (* one bit per heap page, set once the current epoch's attempts
+         have fully visited it: the sweep checkpoint a crashed pass
+         resumes from (Reloaded/CHERIoT) *)
   mutable ck_stw_done : bool;
       (* the epoch-opening stop-the-world completed; a resumed attempt
          must not repeat it (the CLG toggle is not idempotent) *)
@@ -214,13 +221,13 @@ let recovery_stats t =
     downshifts = t.rs_downshifts;
   }
 
-let consecutive_aborts t = t.consecutive_aborts
-
 (* Allocation backpressure: while epochs are aborting, [Mrs.malloc]
    throttles by this many cycles per call instead of letting the
    application outrun a revoker that cannot currently retire quarantine. *)
 let backpressure t =
   if t.consecutive_aborts > 0 then t.recovery.malloc_throttle else 0
+
+let shoots t = t.fault <> Some Skip_shootdown
 
 let sweep_point t ctx vp =
   match t.sweep_hook with None -> () | Some h -> h ctx vp
@@ -231,33 +238,59 @@ let barrier_armed t = t.barrier_armed
 let queued_bytes t = t.queued_bytes
 let records t = List.rev t.records
 let revocation_count t = t.revocations
-let total_bytes_processed t = t.total_bytes
 
-let heap_vpages t =
-  let layout = Vm.Aspace.layout t.aspace in
-  let lo = layout.Layout.heap_base / Phys.page_size in
-  let hi = (layout.Layout.heap_limit - 1) / Phys.page_size in
-  List.filter
-    (fun vp -> vp >= lo && vp <= hi)
-    (Pmap.sorted_vpages (Vm.Aspace.pmap t.aspace))
+(* The heap's vpage range, inclusive. *)
+let heap_lo t = (Vm.Aspace.layout t.aspace).Layout.heap_base / Phys.page_size
+let heap_hi t = ((Vm.Aspace.layout t.aspace).Layout.heap_limit - 1) / Phys.page_size
+
+(* Snapshot the mapped heap vpages, ascending, into [t.walk]: only those
+   in the visit set when [visited]. It is a snapshot, not a live walk,
+   because a pass yields between pages and the application may map new
+   ones meanwhile; the pass visits what was mapped when it began. The
+   walk probes the pmap page by page and the buffer is reused, so a walk
+   allocates one closure whatever the heap's size. *)
+let heap_walk t ~visited =
+  t.walk_n <- 0;
+  Pmap.iter_range (Vm.Aspace.pmap t.aspace) ~lo:(heap_lo t) ~hi:(heap_hi t)
+    ~f:(fun vp _ ->
+      if (not visited) || Hashtbl.mem t.visit_set vp then begin
+        if t.walk_n = Array.length t.walk then begin
+          let bigger = Array.make (max 64 (2 * t.walk_n)) 0 in
+          Array.blit t.walk 0 bigger 0 t.walk_n;
+          t.walk <- bigger
+        end;
+        t.walk.(t.walk_n) <- vp;
+        t.walk_n <- t.walk_n + 1
+      end)
+
+let ck_reset t =
+  let bytes = (heap_hi t - heap_lo t + 8) / 8 in
+  if Bytes.length t.ck_done = bytes then Bytes.fill t.ck_done 0 bytes '\000'
+  else t.ck_done <- Bytes.make bytes '\000'
+
+let ck_mem t vp =
+  let i = vp - heap_lo t in
+  Char.code (Bytes.get t.ck_done (i lsr 3)) land (1 lsl (i land 7)) <> 0
+
+let ck_add t vp =
+  let i = vp - heap_lo t in
+  let b = Char.code (Bytes.get t.ck_done (i lsr 3)) in
+  Bytes.set t.ck_done (i lsr 3) (Char.unsafe_chr (b lor (1 lsl (i land 7))))
 
 (* Fold freshly capability-dirty pages into the visit set. Per §4.5, the
    re-implementation never removes a page from the set once it has held
    capabilities (except Reloaded's clean-page detection, applied at sweep
    time). Clears the hardware bit when [reset] so later stores re-dirty. *)
 let update_visit_set t ctx ~reset =
-  let pmap = Vm.Aspace.pmap t.aspace in
-  List.iter
-    (fun vp ->
-      match Pmap.lookup pmap ~vpage:vp with
-      | Some pte when pte.Pte.cap_dirty ->
-          Hashtbl.replace t.visit_set vp ();
-          if reset then begin
-            pte.Pte.cap_dirty <- false;
-            Machine.charge ctx Cost.pte_update
-          end
-      | Some _ | None -> ())
-    (heap_vpages t)
+  Pmap.iter_range (Vm.Aspace.pmap t.aspace) ~lo:(heap_lo t) ~hi:(heap_hi t)
+    ~f:(fun vp pte ->
+      if pte.Pte.cap_dirty then begin
+        Hashtbl.replace t.visit_set vp ();
+        if reset then begin
+          pte.Pte.cap_dirty <- false;
+          Machine.charge ctx Cost.pte_update
+        end
+      end)
 
 let scan_roots t ctx =
   let revoked = ref 0 in
@@ -270,21 +303,38 @@ let scan_roots t ctx =
     revoked := !revoked + Sweep.scan_hoard ctx t.revmap t.hoards;
   !revoked
 
+(* Content-sweep [vp] if it is mapped; returns the capabilities revoked. *)
 let sweep_vpage t ctx vp =
   let pmap = Vm.Aspace.pmap t.aspace in
   match Pmap.lookup pmap ~vpage:vp with
-  | None -> Sweep.zero_stats
-  | Some pte -> Sweep.sweep_page ~non_temporal:t.non_temporal ctx t.revmap ~pte
+  | None -> 0
+  | Some pte ->
+      (Sweep.sweep_page ~non_temporal:t.non_temporal ctx t.revmap ~pte).Sweep.revoked
+
+let sweep_counted t ctx tally ~pte =
+  let st = Sweep.sweep_page ~non_temporal:t.non_temporal ctx t.revmap ~pte in
+  tally.pages <- tally.pages + 1;
+  tally.revoked <- tally.revoked + st.Sweep.revoked;
+  st
+
+(* Bring [pte] to generation [gen] under the pmap lock. *)
+let sync_clg ctx pte gen =
+  Machine.pmap_lock ctx;
+  if pte.Pte.clg <> gen then begin
+    pte.Pte.clg <- gen;
+    Machine.charge ctx Cost.pte_update
+  end;
+  Machine.pmap_unlock ctx
 
 (* ---- per-page visits (shared between the revoker thread and §7.1's
    helper threads) ---- *)
 
 (* Reloaded: bring one page to the current generation, content-sweeping it
-   only if it may hold capabilities. Returns (pages, revoked) deltas. *)
-let visit_reloaded t ctx gen ~force vp =
+   only if it may hold capabilities. Adds to [tally]. *)
+let visit_reloaded t ctx gen ~force tally vp =
   let pmap = Vm.Aspace.pmap t.aspace in
   match Pmap.lookup pmap ~vpage:vp with
-  | None -> (0, 0)
+  | None -> ()
   | Some pte ->
       (* [ck_done] is the epoch's sweep checkpoint: pages a crashed
          attempt already finished (content sweep AND generation update)
@@ -292,41 +342,31 @@ let visit_reloaded t ctx gen ~force vp =
          alone would skip them; the explicit set also covers [force]
          (post-fork mixed-generation) epochs and gives the resume trace
          assertion a single mechanism. *)
-      if (pte.Pte.clg <> gen || force) && not (Hashtbl.mem t.ck_done vp) then begin
+      if (pte.Pte.clg <> gen || force) && not (ck_mem t vp) then begin
         sweep_point t ctx vp;
-        let pages, revoked =
-          if Hashtbl.mem t.visit_set vp then begin
-            let st = Sweep.sweep_page ~non_temporal:t.non_temporal ctx t.revmap ~pte in
-            (* clean-page detection: a swept page with no capabilities left
-               need not be content-swept next epoch *)
-            if st.Sweep.tagged = 0 && not pte.Pte.cap_dirty then
-              Hashtbl.remove t.visit_set vp;
-            (1, st.Sweep.revoked)
-          end
-          else (0, 0)
-        in
-        Machine.with_pmap_lock ctx (fun () ->
-            if pte.Pte.clg <> gen then begin
-              pte.Pte.clg <- gen;
-              Machine.charge ctx Cost.pte_update
-            end);
-        Hashtbl.replace t.ck_done vp ();
-        (pages, revoked)
+        if Hashtbl.mem t.visit_set vp then begin
+          let st = sweep_counted t ctx tally ~pte in
+          (* clean-page detection: a swept page with no capabilities left
+             need not be content-swept next epoch *)
+          if st.Sweep.tagged = 0 && not pte.Pte.cap_dirty then
+            Hashtbl.remove t.visit_set vp
+        end;
+        sync_clg ctx pte gen;
+        ck_add t vp
       end
-      else (0, 0)
 
 (* CHERIoT: the load filter guarantees stale capabilities cannot be
    propagated, so a single idempotent content sweep per epoch suffices —
    no generations, no re-scan. Resume-safe like Reloaded: the filter is
    always armed, so a crashed pass restarts from [ck_done]. *)
-let visit_cheriot t ctx vp =
-  if Hashtbl.mem t.visit_set vp && not (Hashtbl.mem t.ck_done vp) then begin
+let visit_cheriot t ctx tally vp =
+  if Hashtbl.mem t.visit_set vp && not (ck_mem t vp) then begin
     sweep_point t ctx vp;
-    let st = sweep_vpage t ctx vp in
-    Hashtbl.replace t.ck_done vp ();
-    (1, st.Sweep.revoked)
+    let revoked = sweep_vpage t ctx vp in
+    ck_add t vp;
+    tally.pages <- tally.pages + 1;
+    tally.revoked <- tally.revoked + revoked
   end
-  else (0, 0)
 
 (* ---- helper threads (§7.1 concurrent background revocation) ---- *)
 
@@ -343,96 +383,85 @@ let helper_body t h ctx =
            records the failure and goes back to Idle so the coordinator
            can notice, abort the pass, and re-dispatch the retry *)
         (try
-           List.iter
-             (fun vp ->
-               Machine.safe_point ctx;
-               let pages, revoked =
-                 match mode with
-                 | Sweep_reloaded (gen, force) ->
-                     visit_reloaded t ctx gen ~force vp
-                 | Sweep_cheriot -> visit_cheriot t ctx vp
-                 | Idle | Stop -> (0, 0)
-               in
-               h.h_pages <- h.h_pages + pages;
-               h.h_revoked <- h.h_revoked + revoked)
-             h.h_queue
+           while h.h_next >= 0 do
+             let vp = t.walk.(h.h_next) in
+             h.h_next <- h.h_next - h.h_stride;
+             Machine.safe_point ctx;
+             match mode with
+             | Sweep_reloaded (gen, force) ->
+                 visit_reloaded t ctx gen ~force h.h_tally vp
+             | Sweep_cheriot -> visit_cheriot t ctx h.h_tally vp
+             | Idle | Stop -> ()
+           done
          with Induced_crash -> h.h_failed <- true);
-        h.h_queue <- [];
+        h.h_next <- -1;
         h.h_mode <- Idle;
         Machine.broadcast ctx h.h_done_cv;
         loop ()
   in
   loop ()
 
-(* Sequentially visit [pages] on the calling (revoker) thread. With a
-   sweep pacer installed the walk is sliced into governor-granted quanta:
-   before each slice the pacer may block (sleeping the revoker thread) to
-   push the slice into a load trough, then returns the next slice's page
-   budget, clamped to >= 1 so a sweep always makes progress and an epoch
-   can never be paced to a standstill. *)
-let seq_visit t ctx pages ~visit =
-  let p = ref 0 and r = ref 0 in
-  let step vp =
-    Machine.safe_point ctx;
-    let dp, dr = visit vp in
-    p := !p + dp;
-    r := !r + dr
-  in
+(* Sequentially visit the walked pages on the calling (revoker) thread.
+   With a sweep pacer installed the walk is sliced into governor-granted
+   quanta: before each slice the pacer may block (sleeping the revoker
+   thread) to push the slice into a load trough, then returns the next
+   slice's page budget, clamped to >= 1 so a sweep always makes progress
+   and an epoch can never be paced to a standstill. *)
+let seq_visit t ctx ~visit =
+  let tally = { pages = 0; revoked = 0 } in
+  let n = t.walk_n in
   (match t.sweep_pacer with
-  | None -> List.iter step pages
+  | None ->
+      for i = 0 to n - 1 do
+        Machine.safe_point ctx;
+        visit tally t.walk.(i)
+      done
   | Some pacer ->
-      let rec slices remaining visited =
-        match remaining with
-        | [] -> ()
-        | _ ->
-            let quota = max 1 (pacer ctx ~visited) in
-            let rec take n l =
-              if n = 0 then (l, quota)
-              else
-                match l with
-                | [] -> ([], quota - n)
-                | vp :: tl ->
-                    step vp;
-                    take (n - 1) tl
-            in
-            let rest, taken = take quota remaining in
-            slices rest (visited + taken)
-      in
-      slices pages 0);
-  (!p, !r)
+      let i = ref 0 in
+      while !i < n do
+        let stop = min n (!i + max 1 (pacer ctx ~visited:!i)) in
+        while !i < stop do
+          Machine.safe_point ctx;
+          visit tally t.walk.(!i);
+          incr i
+        done
+      done);
+  tally
 
-(* Partition [pages] round-robin over helpers, run the main thread's share
-   inline, and wait for every helper to drain. With a sweep pacer armed
+(* Partition the walked pages round-robin over the revoker thread (share
+   0) and its helpers (shares 1..), run share 0 inline, and wait for every
+   helper to drain. Share [j] holds indices [j], [j + k], ... of the walk
+   and is visited from its highest index down. With a sweep pacer armed
    the whole walk stays on the revoker thread instead — helpers cannot
    honour a per-slice budget, and a governed serving machine wants the
    sweep confined to one core anyway. *)
-let fan_out t ctx ~pages ~mode ~visit =
+let fan_out t ctx ~mode ~visit =
   match t.helpers with
-  | [] -> seq_visit t ctx pages ~visit
-  | _ when t.sweep_pacer <> None -> seq_visit t ctx pages ~visit
+  | [] -> seq_visit t ctx ~visit
+  | _ when t.sweep_pacer <> None -> seq_visit t ctx ~visit
   | helpers ->
       let k = List.length helpers + 1 in
-      let shares = Array.make k [] in
-      List.iteri (fun i vp -> shares.(i mod k) <- vp :: shares.(i mod k)) pages;
+      let n = t.walk_n in
+      let last j = if j >= n then -1 else j + ((n - 1 - j) / k * k) in
       List.iteri
         (fun i h ->
-          h.h_queue <- shares.(i + 1);
-          h.h_pages <- 0;
-          h.h_revoked <- 0;
+          h.h_next <- last (i + 1);
+          h.h_stride <- k;
+          h.h_tally.pages <- 0;
+          h.h_tally.revoked <- 0;
           h.h_failed <- false;
           h.h_mode <- mode;
           Machine.broadcast ctx h.h_work_cv)
         helpers;
-      let p = ref 0 and r = ref 0 in
+      let tally = { pages = 0; revoked = 0 } in
       let crashed = ref false in
       (try
-         List.iter
-           (fun vp ->
-             Machine.safe_point ctx;
-             let dp, dr = visit vp in
-             p := !p + dp;
-             r := !r + dr)
-           shares.(0)
+         let i = ref (last 0) in
+         while !i >= 0 do
+           Machine.safe_point ctx;
+           visit tally t.walk.(!i);
+           i := !i - k
+         done
        with Induced_crash -> crashed := true);
       (* drain every helper even when crashing, so the retry never
          dispatches onto a helper still chewing the aborted pass *)
@@ -441,12 +470,12 @@ let fan_out t ctx ~pages ~mode ~visit =
           while h.h_mode <> Idle do
             Machine.wait ctx h.h_done_cv
           done;
-          p := !p + h.h_pages;
-          r := !r + h.h_revoked)
+          tally.pages <- tally.pages + h.h_tally.pages;
+          tally.revoked <- tally.revoked + h.h_tally.revoked)
         helpers;
       if !crashed || List.exists (fun h -> h.h_failed) helpers then
         raise Induced_crash;
-      (!p, !r)
+      tally
 
 (* ---- strategy bodies: each runs one revocation epoch ---- *)
 
@@ -506,9 +535,9 @@ let run_cherivoke t ctx =
         Hashtbl.iter
           (fun vp () ->
             sweep_point t ctx vp;
-            let st = sweep_vpage t ctx vp in
+            let r = sweep_vpage t ctx vp in
             incr pages;
-            revoked := !revoked + st.Sweep.revoked)
+            revoked := !revoked + r)
           t.visit_set)
   in
   {
@@ -521,61 +550,58 @@ let run_cherivoke t ctx =
 let run_cornucopia t ctx =
   let pmap = Vm.Aspace.pmap t.aspace in
   let asid = Vm.Aspace.asid t.aspace in
-  let pages = ref 0 and revoked = ref 0 in
   (* concurrent phase: sweep every page that has ever held capabilities,
      clearing its dirty bit first so stores during the sweep re-dirty it *)
   let t0 = Machine.now ctx in
   update_visit_set t ctx ~reset:false;
-  let targets = List.filter (Hashtbl.mem t.visit_set) (heap_vpages t) in
-  let visit vp =
+  heap_walk t ~visited:true;
+  let visit tally vp =
     match Pmap.lookup pmap ~vpage:vp with
-    | None -> (0, 0)
+    | None -> ()
     | Some pte ->
         sweep_point t ctx vp;
-        Machine.with_pmap_lock ctx (fun () ->
-            if pte.Pte.cap_dirty then begin
-              pte.Pte.cap_dirty <- false;
-              Machine.charge ctx Cost.pte_update
-            end);
-        if t.fault <> Some Skip_shootdown then
-          Machine.tlb_shootdown ~asid ctx ~vpages:[ vp ];
-        let st = Sweep.sweep_page ~non_temporal:t.non_temporal ctx t.revmap ~pte in
-        (1, st.Sweep.revoked)
+        Machine.pmap_lock ctx;
+        if pte.Pte.cap_dirty then begin
+          pte.Pte.cap_dirty <- false;
+          Machine.charge ctx Cost.pte_update
+        end;
+        Machine.pmap_unlock ctx;
+        if shoots t then Machine.tlb_shootdown ~asid ctx ~vpages:[ vp ];
+        ignore (sweep_counted t ctx tally ~pte)
   in
-  let dp, dr = seq_visit t ctx targets ~visit in
-  pages := !pages + dp;
-  revoked := !revoked + dr;
+  let tally = seq_visit t ctx ~visit in
+  let pages = ref tally.pages and revoked = ref tally.revoked in
   let conc = Machine.now ctx - t0 in
   (* stop-the-world phase: roots, then pages re-dirtied during the sweep *)
   let (), rep =
     quiesce t ctx (fun () ->
         revoked := !revoked + scan_roots t ctx;
-        List.iter
-          (fun vp ->
-            match Pmap.lookup pmap ~vpage:vp with
-            | Some pte when pte.Pte.cap_dirty ->
-                sweep_point t ctx vp;
-                (* a page first capability-dirtied during the concurrent
-                   phase has never entered the visit set; record it or the
-                   NEXT epoch will skip it while it still holds
-                   capabilities swept only up to this epoch's quarantine
-                   (§4.5's never-forget discipline) *)
-                Hashtbl.replace t.visit_set vp ();
-                pte.Pte.cap_dirty <- false;
-                Machine.charge ctx Cost.pte_update;
-                (* the dirty-bit clear must reach every TLB here too:
-                   stopped threads resume with cached PTE copies, and a
-                   stale cap-dirty=1 entry lets their next cap store skip
-                   re-dirtying the page for the following epoch *)
-                if t.fault <> Some Skip_shootdown then
-                  Machine.tlb_shootdown ~asid ctx ~vpages:[ vp ];
-                let st =
-                  Sweep.sweep_page ~non_temporal:t.non_temporal ctx t.revmap ~pte
-                in
-                incr pages;
-                revoked := !revoked + st.Sweep.revoked
-            | Some _ | None -> ())
-          (heap_vpages t))
+        heap_walk t ~visited:false;
+        for i = 0 to t.walk_n - 1 do
+          let vp = t.walk.(i) in
+          match Pmap.lookup pmap ~vpage:vp with
+          | Some pte when pte.Pte.cap_dirty ->
+              sweep_point t ctx vp;
+              (* a page first capability-dirtied during the concurrent
+                 phase has never entered the visit set; record it or the
+                 NEXT epoch will skip it while it still holds
+                 capabilities swept only up to this epoch's quarantine
+                 (§4.5's never-forget discipline) *)
+              Hashtbl.replace t.visit_set vp ();
+              pte.Pte.cap_dirty <- false;
+              Machine.charge ctx Cost.pte_update;
+              (* the dirty-bit clear must reach every TLB here too:
+                 stopped threads resume with cached PTE copies, and a
+                 stale cap-dirty=1 entry lets their next cap store skip
+                 re-dirtying the page for the following epoch *)
+              if shoots t then Machine.tlb_shootdown ~asid ctx ~vpages:[ vp ];
+              let st =
+                Sweep.sweep_page ~non_temporal:t.non_temporal ctx t.revmap ~pte
+              in
+              incr pages;
+              revoked := !revoked + st.Sweep.revoked
+          | Some _ | None -> ()
+        done)
   in
   {
     o_stw = rep.Machine.released_at - rep.Machine.requested_at;
@@ -606,11 +632,12 @@ let run_reloaded t ~resume ctx =
             update_visit_set t ctx ~reset:true;
             root_revoked := scan_roots t ctx;
             if t.pte_flag_barrier then begin
-              let pages = heap_vpages t in
-              List.iter (fun _ -> Machine.charge ctx Cost.pte_update) pages;
+              heap_walk t ~visited:false;
+              Machine.charge ctx (t.walk_n * Cost.pte_update);
               Machine.tlb_shootdown
                 ~asid:(Vm.Aspace.asid t.aspace)
-                ctx ~vpages:pages
+                ctx
+                ~vpages:(Array.to_list (Array.sub t.walk 0 t.walk_n))
             end)
       in
       t.ck_stw_done <- true;
@@ -624,8 +651,9 @@ let run_reloaded t ~resume ctx =
   let gen = Pmap.generation pmap in
   let force = t.mixed_gen in
   let t0 = Machine.now ctx in
-  let pages, revoked =
-    fan_out t ctx ~pages:(heap_vpages t)
+  heap_walk t ~visited:false;
+  let tally =
+    fan_out t ctx
       ~mode:(Sweep_reloaded (gen, force))
       ~visit:(visit_reloaded t ctx gen ~force)
   in
@@ -633,8 +661,8 @@ let run_reloaded t ~resume ctx =
   {
     o_stw;
     o_conc = Machine.now ctx - t0;
-    o_pages = pages;
-    o_revoked = revoked + !root_revoked;
+    o_pages = tally.pages;
+    o_revoked = tally.revoked + !root_revoked;
   }
 
 let run_cheriot t ~resume ctx =
@@ -659,15 +687,13 @@ let run_cheriot t ~resume ctx =
     end
   in
   let t0 = Machine.now ctx in
-  let targets = List.filter (Hashtbl.mem t.visit_set) (heap_vpages t) in
-  let pages, revoked =
-    fan_out t ctx ~pages:targets ~mode:Sweep_cheriot ~visit:(visit_cheriot t ctx)
-  in
+  heap_walk t ~visited:true;
+  let tally = fan_out t ctx ~mode:Sweep_cheriot ~visit:(visit_cheriot t ctx) in
   {
     o_stw;
     o_conc = Machine.now ctx - t0;
-    o_pages = pages;
-    o_revoked = revoked + !root_revoked;
+    o_pages = tally.pages;
+    o_revoked = tally.revoked + !root_revoked;
   }
 
 let run_paint_sync _t _ctx = { o_stw = 0; o_conc = 0; o_pages = 0; o_revoked = 0 }
@@ -681,15 +707,13 @@ let clg_fault_handler t ctx ~vaddr pte =
   let pmap = Vm.Aspace.pmap t.aspace in
   let gen = Pmap.generation pmap in
   let vp = vaddr / Phys.page_size in
-  let stale = Machine.with_pmap_lock ctx (fun () -> pte.Pte.clg = gen) in
+  Machine.pmap_lock ctx;
+  let stale = pte.Pte.clg = gen in
+  Machine.pmap_unlock ctx;
   if not stale then begin
     if Hashtbl.mem t.visit_set vp then
       ignore (Sweep.sweep_page ctx t.revmap ~pte);
-    Machine.with_pmap_lock ctx (fun () ->
-        if pte.Pte.clg <> gen then begin
-          pte.Pte.clg <- gen;
-          Machine.charge ctx Cost.pte_update
-        end)
+    sync_clg ctx pte gen
   end;
   t.fault_cycles <-
     t.fault_cycles + (Machine.now ctx - t0) + Cost.trap + Cost.clg_fault_fixed;
@@ -704,14 +728,10 @@ let run_epoch t ctx batches =
   t.fault_cycles <- 0;
   t.fault_count <- 0;
   let requested_at = Machine.now ctx in
-  (match Machine.tracer t.m with
-  | Some tr ->
-      Sim.Trace.emit tr ~time:requested_at ~core:t.core ~pid:t.pid
-        Sim.Trace.Epoch_begin
-        (Epoch.counter t.epoch);
-      Sim.Trace.emit tr ~time:requested_at ~core:t.core ~pid:t.pid
-        Sim.Trace.Revoke_batch bytes
-  | None -> ());
+  Machine.trace_emit t.m ~time:requested_at ~core:t.core ~pid:t.pid ~arg2:0
+    Sim.Trace.Epoch_begin (Epoch.counter t.epoch);
+  Machine.trace_emit t.m ~time:requested_at ~core:t.core ~pid:t.pid ~arg2:0
+    Sim.Trace.Revoke_batch bytes;
   Epoch.begin_revocation t.epoch ctx;
   let idx = Epoch.counter t.epoch in
   let delivered = ref false in
@@ -731,7 +751,7 @@ let run_epoch t ctx batches =
   in
   (* mutation hook: hand the quarantine back before the sweep has run *)
   if t.fault = Some Early_dequarantine then deliver ();
-  Hashtbl.reset t.ck_done;
+  ck_reset t;
   t.ck_stw_done <- false;
   (* Run the strategy body, retrying after induced sweep crashes from the
      [ck_done] checkpoint. Strategies with an always-armed barrier
@@ -757,7 +777,7 @@ let run_epoch t ctx batches =
         else begin
           (match t.strategy with
           | Cherivoke | Cornucopia | Paint_sync ->
-              Hashtbl.reset t.ck_done;
+              ck_reset t;
               t.ck_stw_done <- false
           | Reloaded | Cheriot_filter -> ());
           Machine.trace_emit t.m ~time:(Machine.now ctx) ~core:t.core
@@ -773,16 +793,11 @@ let run_epoch t ctx batches =
   match attempt 0 with
   | Some o ->
       Epoch.end_revocation t.epoch ctx;
-      (match Machine.tracer t.m with
-      | Some tr ->
-          Sim.Trace.emit tr ~time:(Machine.now ctx) ~core:t.core ~pid:t.pid
-            Sim.Trace.Epoch_end
-            (Epoch.counter t.epoch)
-      | None -> ());
+      Machine.trace_emit t.m ~time:(Machine.now ctx) ~core:t.core ~pid:t.pid
+        ~arg2:0 Sim.Trace.Epoch_end (Epoch.counter t.epoch);
       t.barrier_armed <- false;
       t.consecutive_aborts <- 0;
       t.revocations <- t.revocations + 1;
-      t.total_bytes <- t.total_bytes + bytes;
       t.records <-
         {
           epoch_index = idx;
@@ -956,6 +971,8 @@ let create m ~strategy ~core ?(non_temporal = false)
       hoards;
       work_cv = Machine.condvar ();
       visit_set = Hashtbl.create 1024;
+      walk = [||];
+      walk_n = 0;
       helpers = [];
       queue = [];
       queued_bytes = 0;
@@ -966,7 +983,6 @@ let create m ~strategy ~core ?(non_temporal = false)
       fault_cycles = 0;
       fault_count = 0;
       revocations = 0;
-      total_bytes = 0;
       current_entries = [];
       barrier_armed = false;
       fault = None;
@@ -976,7 +992,7 @@ let create m ~strategy ~core ?(non_temporal = false)
       epoch_governor = None;
       sweep_pacer = None;
       service_threads = [];
-      ck_done = Hashtbl.create 256;
+      ck_done = Bytes.empty;
       ck_stw_done = false;
       sweep_hook = None;
       on_abort = None;
@@ -997,10 +1013,10 @@ let create m ~strategy ~core ?(non_temporal = false)
             h_core = List.nth helper_cores (i mod List.length helper_cores);
             h_work_cv = Machine.condvar ();
             h_done_cv = Machine.condvar ();
-            h_queue = [];
+            h_next = -1;
+            h_stride = 1;
             h_mode = Idle;
-            h_pages = 0;
-            h_revoked = 0;
+            h_tally = { pages = 0; revoked = 0 };
             h_failed = false;
           })
     in

@@ -53,8 +53,6 @@ type fault = Skip_shootdown | Skip_hoard_scan | Early_dequarantine
 
 val fault_name : fault -> string
 
-val all_faults : fault list
-
 val fault_of_name : string -> fault option
 (** Inverse of {!fault_name} — replay files and CLI flags name faults. *)
 
@@ -69,11 +67,6 @@ exception Induced_crash
 val strategy_code : strategy -> int
 (** Stable small-integer encoding for trace event arguments
     (Paint_sync = 0 … Cheriot_filter = 4). *)
-
-val downshift_of : strategy -> strategy option
-(** The graceful-degradation ladder: [Reloaded -> Cornucopia ->
-    Cherivoke], [Cheriot_filter -> Cherivoke]; [Cherivoke] is the floor
-    and [Paint_sync] (no safety) is never a target. *)
 
 type recovery = {
   watchdog_timeout : int;
@@ -181,7 +174,6 @@ val set_sweep_hook : t -> (Sim.Machine.ctx -> int -> unit) option -> unit
     resumes from its checkpoint or aborts after [max_crash_retries]. *)
 
 val recovery_stats : t -> recovery_stats
-val consecutive_aborts : t -> int
 
 val backpressure : t -> int
 (** Cycles of per-call allocation throttle currently requested
@@ -215,7 +207,6 @@ val records : t -> phase_record list
 (** Per-epoch phase records, oldest first. *)
 
 val revocation_count : t -> int
-val total_bytes_processed : t -> int
 
 val set_epoch_gate :
   t -> acquire:(Sim.Machine.ctx -> unit) -> release:(Sim.Machine.ctx -> unit) -> unit

@@ -14,9 +14,6 @@ type stats = {
   upgraded : bool; (** read-only page needed the write upgrade path *)
 }
 
-val zero_stats : stats
-val add_stats : stats -> stats -> stats
-
 val sweep_page :
   ?non_temporal:bool ->
   Sim.Machine.ctx ->
@@ -28,14 +25,15 @@ val sweep_page :
     invokes the full fault machinery (charged) when a capability must
     actually be revoked.
 
-    Internally uses the word-scan kernel ({!Tagmem.Mem.tag_word}): the
-    page's packed tag bitmap is read 64 granules per load, untagged
-    cache lines are charged in one batch, and only tagged granules
-    materialise capabilities and probe the revocation map. Cycle
-    counts, bus traffic, cache state and trace events are bit-for-bit
-    identical to the per-granule reference loop, which remains in use
-    whenever a chaos tag hook is armed (the hook must observe every
-    granule read). *)
+    Internally uses the word-scan kernel ({!Tagmem.Mem.tag_half}): the
+    page's packed tag bitmap is read 32 granules per load, as an
+    immediate int, untagged cache lines are charged in one batch, and
+    only tagged granules materialise capabilities and probe the
+    revocation map. Cycle counts, bus traffic, cache state and trace
+    events are bit-for-bit identical to the per-granule reference loop,
+    which remains in use whenever a chaos tag hook is armed (the hook
+    must observe every granule read). The kernel allocates nothing per
+    granule; the returned record is the only per-page allocation. *)
 
 val scan_regfile : Sim.Machine.ctx -> Revmap.t -> Sim.Regfile.t -> int
 (** Probe-and-revoke every tagged register; returns revoked count. *)

@@ -211,10 +211,12 @@ let attach_tracer m t =
 
 let tracer m = m.trace
 
-let trace_emit m ~time ~core ?(pid = 0) ?(arg2 = 0) kind arg =
+(* Every argument is required: an optional one would box a [Some] at each
+   call site before the detached-tracer test below could skip it. *)
+let trace_emit m ~time ~core ~pid ~arg2 kind arg =
   match m.trace with
   | None -> ()
-  | Some t -> Trace.emit t ~time ~core ~pid ~arg2 kind arg
+  | Some t -> Trace.emit_full t ~time ~core ~pid ~arg2 kind arg
 
 let spawn m ~name ~core ?(user = true) ?(pid = 0) ?aspace body =
   if core < 0 || core >= Array.length m.cores then invalid_arg "Machine.spawn: core";
@@ -557,7 +559,7 @@ let stop_the_world ctx ?scope ?timeout f =
     perform_yield ()
   end;
   charge ctx (Cost.quiesce_per_thread * List.length targets);
-  trace_emit m ~time:t0 ~core:th.tcore ~pid:th.pid Trace.Stw_request
+  trace_emit m ~time:t0 ~core:th.tcore ~pid:th.pid ~arg2:0 Trace.Stw_request
     (List.length targets);
   let timed_out =
     match deadline with
@@ -576,7 +578,8 @@ let stop_the_world ctx ?scope ?timeout f =
     raise (Quiesce_timeout { stalled; waited = now - t0 })
   end;
   let stopped_at = max s.stopped_at (core_of ctx).clock in
-  trace_emit m ~time:stopped_at ~core:th.tcore ~pid:th.pid Trace.Stw_stopped 0;
+  trace_emit m ~time:stopped_at ~core:th.tcore ~pid:th.pid ~arg2:0
+    Trace.Stw_stopped 0;
   let result =
     try f ()
     with e ->
@@ -587,7 +590,8 @@ let stop_the_world ctx ?scope ?timeout f =
       raise e
   in
   let released_at = (core_of ctx).clock in
-  trace_emit m ~time:released_at ~core:th.tcore ~pid:th.pid Trace.Stw_release
+  trace_emit m ~time:released_at ~core:th.tcore ~pid:th.pid ~arg2:0
+    Trace.Stw_release
     (released_at - t0);
   release_world m s ~released_at;
   (result, { requested_at = t0; stopped_at; released_at })
@@ -615,7 +619,7 @@ let toggle_clg ctx =
   let pmap = Aspace.pmap ctx.th.asp in
   Pmap.set_generation pmap (not (Pmap.generation pmap));
   trace_emit m ~time:(core_of ctx).clock ~core:ctx.th.tcore ~pid:ctx.th.pid
-    Trace.Clg_toggle
+    ~arg2:0 Trace.Clg_toggle
     (if Pmap.generation pmap then 1 else 0)
 
 let core_clg m i = m.cores.(i).clg
@@ -735,6 +739,14 @@ let rmw_u64 ctx cap f =
   Mem.write_u64 ctx.m.mem pa (f old);
   old
 
+(* [rmw_u64] at an explicit address with the update fixed to "set (or
+   clear) bits [lo, hi)": the same checks and charges, allocating
+   nothing — the shadow bitmap's paint/clear path. *)
+let rmw_bits_at ctx cap va ~lo ~hi ~set =
+  let pa = data_access ctx cap va ~width:8 ~write:true ~op:"rmw_u64" in
+  charge ctx (Cache.access (core_of ctx).cache ~addr:pa ~write:false);
+  Mem.update_bits ctx.m.mem pa ~lo ~hi ~set
+
 let touch ctx cap ~write =
   ignore
     (data_access ctx cap (Capability.addr cap) ~width:1 ~write ~op:"touch")
@@ -786,7 +798,7 @@ let rec load_cap_at ctx cap va =
        handler bring the page to the current generation, re-execute. *)
     ctx.m.clg_faults <- ctx.m.clg_faults + 1;
     trace_emit ctx.m ~time:(core_of ctx).clock ~core:ctx.th.tcore
-      ~pid:ctx.th.pid Trace.Clg_fault va;
+      ~pid:ctx.th.pid ~arg2:0 Trace.Clg_fault va;
     charge ctx Cost.trap;
     (match Hashtbl.find_opt ctx.m.clg_handlers (Aspace.asid ctx.th.asp) with
     | None ->
@@ -905,7 +917,7 @@ let tag_hook_armed m = m.tag_hook <> None
    materialising the untagged capability values. Only sound when no tag
    read hook is armed ([tag_hook_armed] is false): the per-granule loop
    consults the hook on every read, and this helper does not. *)
-let kern_read_untagged_run ?(non_temporal = false) ctx ~pa ~count =
+let kern_read_untagged_run ~non_temporal ctx ~pa ~count =
   let cache = (core_of ctx).cache in
   charge ctx
     (if non_temporal then Cache.access_nt_run cache ~addr:pa ~write:false ~count
@@ -913,11 +925,21 @@ let kern_read_untagged_run ?(non_temporal = false) ctx ~pa ~count =
 
 (* ---- VM operations ---- *)
 
+let pmap_lock ctx =
+  let contended = Pmap.lock (Aspace.pmap ctx.th.asp) ~who:ctx.th.tid in
+  charge ctx (if contended then 2 * Cost.pmap_lock else Cost.pmap_lock)
+
+let pmap_unlock ctx = Pmap.unlock (Aspace.pmap ctx.th.asp) ~who:ctx.th.tid
+
 let with_pmap_lock ctx f =
-  let pmap = Aspace.pmap ctx.th.asp in
-  let contended = Pmap.lock pmap ~who:ctx.th.tid in
-  charge ctx (if contended then 2 * Cost.pmap_lock else Cost.pmap_lock);
-  Fun.protect ~finally:(fun () -> Pmap.unlock pmap ~who:ctx.th.tid) f
+  pmap_lock ctx;
+  match f () with
+  | v ->
+      pmap_unlock ctx;
+      v
+  | exception e ->
+      pmap_unlock ctx;
+      raise e
 
 (* Invalidate [vpages] on every core that has the given address space
    installed (all cores when [asid] is omitted — the machine-wide IPI of
@@ -927,40 +949,53 @@ let with_pmap_lock ctx f =
    failure since revocation soundness depends on the invalidation. *)
 let max_shootdown_retries = 4
 
+(* One shootdown IPI to core [c]: invalidate, charge, and report whether
+   the ack was lost. *)
+let ipi ctx c ~vpages =
+  Tlb.invalidate_pages c.tlb ~vpages;
+  charge ctx Cost.tlb_shootdown_per_core;
+  match ctx.m.ack_hook with Some h -> h ~core:c.cid | None -> false
+
 let tlb_shootdown ?asid ctx ~vpages =
   if vpages <> [] then begin
-    let hit c = match asid with None -> true | Some a -> c.casid = a in
-    let unacked =
-      ref (Array.to_list (Array.map (fun c -> c.cid) ctx.m.cores)
-           |> List.filter (fun cid -> hit ctx.m.cores.(cid)))
-    in
-    let attempt = ref 0 in
-    while !unacked <> [] do
-      if !attempt > max_shootdown_retries then
-        failwith "tlb_shootdown: ack never arrived";
-      let still = ref [] in
-      List.iter
-        (fun cid ->
-          let c = ctx.m.cores.(cid) in
-          Tlb.invalidate_pages c.tlb ~vpages;
-          charge ctx Cost.tlb_shootdown_per_core;
-          let lost =
-            match ctx.m.ack_hook with Some h -> h ~core:cid | None -> false
-          in
-          if lost then begin
-            (* The invalidation may or may not have landed before the
-               ack was dropped; resending is idempotent, so treat the
-               whole core as un-acked and retry. *)
-            trace_emit ctx.m ~time:(core_of ctx).clock ~core:ctx.th.tcore
-              ~pid:ctx.th.pid ~arg2:(!attempt + 1) Trace.Shootdown_retry cid;
-            still := cid :: !still
-          end)
-        !unacked;
-      unacked := List.rev !still;
-      incr attempt
-    done;
-    trace_emit ctx.m ~time:(core_of ctx).clock ~core:ctx.th.tcore
-      ~pid:ctx.th.pid Trace.Tlb_shootdown (List.length vpages)
+    let cores = ctx.m.cores in
+    (match ctx.m.ack_hook with
+    | None ->
+        (* no ack is ever lost: one pass over the cores, in index order,
+           is the whole protocol, and it allocates nothing *)
+        for i = 0 to Array.length cores - 1 do
+          let c = Array.unsafe_get cores i in
+          if match asid with None -> true | Some a -> c.casid = a then
+            ignore (ipi ctx c ~vpages)
+        done
+    | Some _ ->
+        let unacked =
+          ref
+            (Array.to_list cores
+            |> List.filter (fun c -> match asid with None -> true | Some a -> c.casid = a)
+            |> List.map (fun c -> c.cid))
+        in
+        let attempt = ref 0 in
+        while !unacked <> [] do
+          if !attempt > max_shootdown_retries then
+            failwith "tlb_shootdown: ack never arrived";
+          let still = ref [] in
+          List.iter
+            (fun cid ->
+              if ipi ctx cores.(cid) ~vpages then begin
+                (* The invalidation may or may not have landed before the
+                   ack was dropped; resending is idempotent, so treat the
+                   whole core as un-acked and retry. *)
+                trace_emit ctx.m ~time:(core_of ctx).clock ~core:ctx.th.tcore
+                  ~pid:ctx.th.pid ~arg2:(!attempt + 1) Trace.Shootdown_retry cid;
+                still := cid :: !still
+              end)
+            !unacked;
+          unacked := List.rev !still;
+          incr attempt
+        done);
+    trace_emit ctx.m ~time:(core_of ctx).clock ~core:ctx.th.tcore ~pid:ctx.th.pid
+      ~arg2:0 Trace.Tlb_shootdown (List.length vpages)
   end
 
 let map ctx ~vaddr ~len ~writable =
@@ -1059,7 +1094,7 @@ let resume m th =
       m.ctx_switches <- m.ctx_switches + 1;
       (match m.trace with
       | Some t ->
-          Trace.emit t ~time:c.clock ~core:c.cid ~pid:th.pid
+          Trace.emit_full t ~time:c.clock ~core:c.cid ~pid:th.pid ~arg2:0
             Trace.Context_switch th.tid
       | None -> ());
       c.clock <- c.clock + Cost.context_switch;

@@ -295,6 +295,14 @@ val rmw_u64 : ctx -> Cheri.Capability.t -> (int64 -> int64) -> int64
     words are updated this way — a plain load;or;store pair can be
     preempted and resurrect bits the revoker just cleared. *)
 
+val rmw_bits_at :
+  ctx -> Cheri.Capability.t -> int -> lo:int -> hi:int -> set:bool -> int
+(** [rmw_bits_at ctx cap va ~lo ~hi ~set] is {!rmw_u64} on
+    [Capability.set_addr cap va] with the update "set (or clear) bits
+    [\[lo, hi)]": the same safe point, store check, translation and two
+    cache accesses. Returns the number of bits it flipped. Nothing is
+    allocated. *)
+
 val load_cap : ctx -> Cheri.Capability.t -> Cheri.Capability.t
 (** Load the 16-byte granule at the capability's address. Subject to the
     load barrier: may invoke the CLG fault handler and re-execute. *)
@@ -353,7 +361,7 @@ val tag_hook_armed : t -> bool
 (** A chaos tag-read hook is installed: per-granule kernel reads must be
     used on the sweep path so every read consults the hook. *)
 
-val kern_read_untagged_run : ?non_temporal:bool -> ctx -> pa:int -> count:int -> unit
+val kern_read_untagged_run : non_temporal:bool -> ctx -> pa:int -> count:int -> unit
 (** Batched cost of reading [count] consecutive known-untagged granules
     within one cache line, starting at [pa]: one charge, identical
     cycles, bus transactions and cache state to [count] individual
@@ -372,9 +380,18 @@ val unmap : ctx -> vaddr:int -> len:int -> unit
 val tlb_shootdown : ?asid:int -> ctx -> vpages:int list -> unit
 (** Invalidate the pages on every core with address space [asid]
     installed (every core when omitted), charging the initiating thread
-    per core hit. *)
+    per core hit. Without a chaos ack hook it allocates nothing beyond
+    its arguments: Cornucopia shoots down every page it sweeps. *)
 
 val with_pmap_lock : ctx -> (unit -> 'a) -> 'a
+(** Run [f] holding the current address space's pmap lock, charging the
+    acquisition; the lock is released however [f] returns. *)
+
+val pmap_lock : ctx -> unit
+val pmap_unlock : ctx -> unit
+(** The two halves of {!with_pmap_lock}, for per-page critical sections
+    that neither yield nor raise: they charge exactly what
+    {!with_pmap_lock} charges, without building a closure. *)
 
 val translate : ctx -> int -> (int * Vm.Pte.t) option
 (** TLB-charged translation, as the hardware walker would do. *)
@@ -392,10 +409,12 @@ val attach_tracer : t -> Trace.t option -> unit
 val tracer : t -> Trace.t option
 
 val trace_emit :
-  t -> time:int -> core:int -> ?pid:int -> ?arg2:int -> Trace.kind -> int -> unit
+  t -> time:int -> core:int -> pid:int -> arg2:int -> Trace.kind -> int -> unit
 (** Emit through the attached recorder, if any — the emission point used
     by higher layers (revoker, revmap, sweep) so analyses can subscribe
-    to one stream. No-op without a tracer. *)
+    to one stream. No-op without a tracer, and then allocation-free:
+    every argument is required ({!Trace.emit}'s defaults are [0]), so no
+    call site boxes an optional one. *)
 
 (** {1 Statistics} *)
 

@@ -250,7 +250,7 @@ let event_at t j =
     arg2 = t.arg2s.(j);
   }
 
-let emit t ~time ~core ?(pid = 0) ?(arg2 = 0) kind arg =
+let emit_full t ~time ~core ~pid ~arg2 kind arg =
   let i = t.next in
   if i > t.mask && t.warn_on_drop && not t.warned then begin
     t.warned <- true;
@@ -273,6 +273,9 @@ let emit t ~time ~core ?(pid = 0) ?(arg2 = 0) kind arg =
       t.sub_fns.(k) e
     done
   end
+
+let emit t ~time ~core ?(pid = 0) ?(arg2 = 0) kind arg =
+  emit_full t ~time ~core ~pid ~arg2 kind arg
 
 let subscribe t f =
   let id = t.next_sub in

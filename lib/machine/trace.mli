@@ -134,6 +134,10 @@ val capacity : t -> int
 
 val emit : t -> time:int -> core:int -> ?pid:int -> ?arg2:int -> kind -> int -> unit
 
+val emit_full : t -> time:int -> core:int -> pid:int -> arg2:int -> kind -> int -> unit
+(** {!emit} with every argument given, so the caller boxes no optional
+    argument: the simulator's own emission points use this. *)
+
 val subscribe : t -> (event -> unit) -> int
 (** Register a lossless callback invoked on every subsequent {!emit}
     (before any ring overwrite can drop the event). Returns an id for

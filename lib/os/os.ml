@@ -421,7 +421,7 @@ let exec t ctx proc ~name =
   proc.p_name <- name;
   register_with_sched t proc;
   Machine.trace_emit t.m ~time:(Machine.now ctx) ~core:(Machine.core_id ctx)
-    ~pid:proc.pid Sim.Trace.Proc_exec released;
+    ~pid:proc.pid ~arg2:0 Sim.Trace.Proc_exec released;
   t.on_process proc
 
 (* The terminating process's last act: hand any remaining quarantine to
@@ -441,7 +441,7 @@ let exit t ctx proc =
   proc.p_state <- Zombie;
   proc.exited_at <- Machine.now ctx;
   Machine.trace_emit t.m ~time:(Machine.now ctx) ~core:(Machine.core_id ctx)
-    ~pid:proc.pid Sim.Trace.Proc_exit leftover;
+    ~pid:proc.pid ~arg2:0 Sim.Trace.Proc_exit leftover;
   Machine.broadcast ctx t.chld_cv
 
 (* Forcible termination at an arbitrary epoch phase. Every user thread of

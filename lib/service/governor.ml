@@ -73,9 +73,9 @@ let stats t =
     brownout_defers = t.s_brownout_defers;
   }
 
-let emit t ctx ?arg2 kind arg =
+let emit t ctx ~arg2 kind arg =
   Machine.trace_emit t.m ~time:(Machine.now ctx) ~core:(Machine.core_id ctx)
-    ~pid:(Machine.ctx_pid ctx) ?arg2 kind arg
+    ~pid:(Machine.ctx_pid ctx) ~arg2 kind arg
 
 (* The force condition IS the blocking condition: defer only while the
    application could still allocate freely if it wanted to. *)

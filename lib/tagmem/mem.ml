@@ -163,6 +163,35 @@ let[@inline] store_u64 m a v =
 let write_u64 m a v = store_u64 m a v
 let write_int m a v = store_u64 m a (Int64.of_int v)
 
+let popcount8 b =
+  let b = b - ((b lsr 1) land 0x55) in
+  let b = (b land 0x33) + ((b lsr 2) land 0x33) in
+  (b + (b lsr 4)) land 0x0f
+
+(* Byte by byte, so no word is ever boxed. All eight bytes are written
+   back, as [write_u64] would, so frame materialisation and tag clearing
+   are those of [write_u64 m a (update (read_u64 m a))]. *)
+let update_bits m a ~lo ~hi ~set =
+  check m a 8;
+  if lo < 0 || hi > 64 || lo >= hi then
+    invalid_arg (Printf.sprintf "Mem.update_bits: bits [%d, %d)" lo hi);
+  let flipped = ref 0 in
+  for i = 0 to 7 do
+    let old = byte m (a + i) in
+    let b0 = max lo (8 * i) - (8 * i) and b1 = min hi ((8 * i) + 8) - (8 * i) in
+    let nw =
+      if b0 >= b1 then old
+      else begin
+        let mask = ((1 lsl (b1 - b0)) - 1) lsl b0 in
+        if set then old lor mask else old land lnot mask
+      end
+    in
+    flipped := !flipped + popcount8 (old lxor nw);
+    set_byte m (a + i) nw
+  done;
+  clear_tags_range m a 8;
+  !flipped
+
 let aligned a = a land (granule - 1) = 0
 
 (* Shadow slot of tagged granule [g]: its chunk exists, since a tag is
@@ -266,6 +295,16 @@ let tag_word m a =
   if a land ((64 * granule) - 1) <> 0 then
     invalid_arg "Mem.tag_word: not 64-granule aligned";
   word_of_tags m (gidx a lsr 6)
+
+(* Two 16-bit loads, so the half word is an immediate int: the sweep
+   kernel tests and shifts it without ever boxing an [int64]. *)
+let tag_half m a =
+  check m a 1;
+  check m (a + (31 * granule)) 1;
+  if a land ((32 * granule) - 1) <> 0 then
+    invalid_arg "Mem.tag_half: not 32-granule aligned";
+  let off = gidx a lsr 3 in
+  Bytes.get_uint16_le m.tags off lor (Bytes.get_uint16_le m.tags (off + 2) lsl 16)
 
 (* Copy [n] data bytes from [s] to [d] where neither range crosses a
    frame boundary. Zeroes onto a never-written frame stay unwritten. *)

@@ -53,6 +53,14 @@ val read_u64_bit : t -> int -> int -> bool
     [0 <= bit < 64], without boxing the word. Raises [Invalid_argument]
     for [bit] outside [\[0, 64)]. *)
 
+val update_bits : t -> int -> lo:int -> hi:int -> set:bool -> int
+(** [update_bits m a ~lo ~hi ~set] sets ([set]) or clears bits
+    [\[lo, hi)] of the little-endian u64 at [a] and returns how many bits
+    changed. Memory, tags and frames end as after
+    [write_u64 m a (f (read_u64 m a))] with [f] the masked or/and-not, but
+    no word is boxed. Raises [Invalid_argument] unless
+    [0 <= lo < hi <= 64]. *)
+
 (** {1 Capability access} *)
 
 val read_cap : t -> int -> Cheri.Capability.t
@@ -106,6 +114,12 @@ val tag_word : t -> int -> int64
 (** [tag_word m a] is the packed tag word covering the 64 granules
     starting at [a], which must be 64-granule (1 KiB) aligned and in
     range. Bit [i] is the tag of granule [a + i*granule]. *)
+
+val tag_half : t -> int -> int
+(** [tag_half m a] is the low or high half of a tag word as an [int] in
+    [\[0, 2{^32})]: bit [i] is the tag of granule [a + i*granule]. [a]
+    must be 32-granule (512 B) aligned and in range. Unlike {!tag_word}
+    it never boxes. *)
 
 val count_tags : t -> lo:int -> hi:int -> int
 (** Number of set tags in the given physical range (popcount over tag

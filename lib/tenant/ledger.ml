@@ -114,9 +114,9 @@ let unseal op (c : cap) =
            op c.c_tenant));
   account t c.c_tenant
 
-let emit t ctx ~pid ?arg2 kind arg =
+let emit t ctx ~pid ~arg2 kind arg =
   Machine.trace_emit t.m ~time:(Machine.now ctx) ~core:(Machine.core_id ctx)
-    ~pid ?arg2 kind arg
+    ~pid ~arg2 kind arg
 
 (* Credit path: runs on the tenant's revoker thread for each entry of a
    clean batch, before the bitmap clear and the [Reuse] event (see

@@ -12,7 +12,7 @@ type t = {
   cache_key : int array; (* vpage, or -1 = unknown *)
   cache_val : Pte.t option array;
   mutable generation : bool;
-  mutable lock_holder : int option;
+  mutable lock_holder : int; (* thread id, or -1 = free *)
   mutable lock_acquisitions : int;
   mutable contended : int;
   mutable busy_count : int;
@@ -25,7 +25,7 @@ let create ~asid =
     cache_key = Array.make cache_size (-1);
     cache_val = Array.make cache_size None;
     generation = false;
-    lock_holder = None;
+    lock_holder = -1;
     lock_acquisitions = 0;
     contended = 0;
     busy_count = 0;
@@ -60,6 +60,21 @@ let page_count t = Hashtbl.length t.pages
 let fold t ~init ~f = Hashtbl.fold f t.pages init
 let iter t ~f = Hashtbl.iter f t.pages
 
+(* Probes the cache, then the table, but never fills the cache: a walk
+   over a range wider than the cache must not evict the entries the TLB
+   miss path relies on, and must not box a [Some] per mapped page. *)
+let iter_range t ~lo ~hi ~f =
+  for vpage = lo to hi do
+    let s = vpage land (cache_size - 1) in
+    if Array.unsafe_get t.cache_key s = vpage then begin
+      match Array.unsafe_get t.cache_val s with Some pte -> f vpage pte | None -> ()
+    end
+    else
+      match Hashtbl.find t.pages vpage with
+      | pte -> f vpage pte
+      | exception Not_found -> ()
+  done
+
 let sorted_vpages t =
   let l = Hashtbl.fold (fun k _ acc -> k :: acc) t.pages [] in
   List.sort compare l
@@ -68,24 +83,19 @@ let generation t = t.generation
 let set_generation t g = t.generation <- g
 
 let lock t ~who =
-  match t.lock_holder with
-  | Some owner when owner = who -> invalid_arg "Pmap.lock: re-entrant acquisition"
-  | Some _ ->
-      (* Cooperative scheduling: the previous holder must have released at
-         its last safe point; observing a holder here means contention. *)
-      t.contended <- t.contended + 1;
-      t.lock_holder <- Some who;
-      t.lock_acquisitions <- t.lock_acquisitions + 1;
-      true
-  | None ->
-      t.lock_holder <- Some who;
-      t.lock_acquisitions <- t.lock_acquisitions + 1;
-      false
+  if who < 0 then invalid_arg "Pmap.lock: owner must be a thread id";
+  if t.lock_holder = who then invalid_arg "Pmap.lock: re-entrant acquisition";
+  (* Cooperative scheduling: the previous holder must have released at
+     its last safe point; observing a holder here means contention. *)
+  let contended = t.lock_holder >= 0 in
+  if contended then t.contended <- t.contended + 1;
+  t.lock_holder <- who;
+  t.lock_acquisitions <- t.lock_acquisitions + 1;
+  contended
 
 let unlock t ~who =
-  match t.lock_holder with
-  | Some owner when owner = who -> t.lock_holder <- None
-  | _ -> invalid_arg "Pmap.unlock: not the holder"
+  if t.lock_holder <> who then invalid_arg "Pmap.unlock: not the holder";
+  t.lock_holder <- -1
 
 let lock_acquisitions t = t.lock_acquisitions
 let busy t = t.busy_count <- t.busy_count + 1

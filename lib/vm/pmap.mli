@@ -21,9 +21,13 @@ val page_count : t -> int
 val fold : t -> init:'a -> f:(int -> Pte.t -> 'a -> 'a) -> 'a
 val iter : t -> f:(int -> Pte.t -> unit) -> unit
 
+val iter_range : t -> lo:int -> hi:int -> f:(int -> Pte.t -> unit) -> unit
+(** [iter_range t ~lo ~hi ~f] calls [f vpage pte] for every mapped
+    [vpage] in [\[lo, hi\]], ascending — the revoker's heap walk. It
+    allocates nothing per page and leaves the lookup cache as it was. *)
+
 val sorted_vpages : t -> int list
-(** All mapped virtual page numbers, ascending — the background revoker's
-    visit order. *)
+(** All mapped virtual page numbers, ascending. *)
 
 (** {1 Generation} *)
 

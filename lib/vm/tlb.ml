@@ -51,11 +51,17 @@ let invalidate_page t ~vpage =
   | Some e when e.vpage = vpage -> t.slots.(vpage land t.mask) <- None
   | Some _ | None -> ()
 
+let rec invalidate_each t = function
+  | [] -> ()
+  | vpage :: rest ->
+      invalidate_page t ~vpage;
+      invalidate_each t rest
+
 (* Batch invalidation: one acknowledged IPI covers the whole list. The
    shootdown counter ticks per batch received, not per page, so lost-ack
    retries are visible as extra acks in the statistics. *)
 let invalidate_pages t ~vpages =
-  List.iter (fun vpage -> invalidate_page t ~vpage) vpages;
+  invalidate_each t vpages;
   if vpages <> [] then t.shootdowns <- t.shootdowns + 1
 
 let flush t = Array.fill t.slots 0 (Array.length t.slots) None

@@ -104,6 +104,164 @@ let prop_revmap_paint_clear_roundtrip =
           List.iter (fun (addr, size) -> Revmap.clear rm ctx ~addr ~size) norm;
           Revmap.set_bits rm = 0))
 
+(* A verbatim copy of the shadow-bitmap update as it was before it became
+   allocation-free (a moved shadow capability and an [rmw_u64] closure
+   per word): the reference [Revmap.paint]/[clear] are held to. *)
+module Revmap_reference = struct
+  type t = { m : M.t; layout : Layout.t; shadow_cap : Cap.t; mutable bits : int }
+
+  let granule = 16
+
+  let create m =
+    let layout = M.layout m in
+    let root = Cap.root ~length:(1 lsl 40) in
+    let shadow_cap =
+      Cap.set_bounds root ~base:layout.Layout.shadow_base
+        ~length:(layout.Layout.shadow_limit - layout.Layout.shadow_base)
+    in
+    let shadow_cap =
+      Cap.restrict_perms shadow_cap
+        Cheri.Perms.(union load (union store global))
+    in
+    { m; layout; shadow_cap; bits = 0 }
+
+  let popcount64 = Tagmem.Mem.popcount64
+
+  let check_range t ~addr ~size =
+    if addr land (granule - 1) <> 0 || size land (granule - 1) <> 0 || size <= 0 then
+      invalid_arg "Revmap: unaligned paint/clear";
+    if not (Layout.contains_heap t.layout addr && addr + size <= t.layout.Layout.heap_limit)
+    then invalid_arg "Revmap: range outside heap"
+
+  let rmw_range t ctx ~addr ~size ~set =
+    check_range t ~addr ~size;
+    let g0 = (addr - t.layout.Layout.heap_base) / granule in
+    let g1 = g0 + (size / granule) in
+    let w = ref (g0 / 64) in
+    let last_word = (g1 - 1) / 64 in
+    let flipped = ref 0 in
+    while !w <= last_word do
+      let lo_bit = max g0 (!w * 64) - (!w * 64) in
+      let hi_bit = min g1 ((!w + 1) * 64) - (!w * 64) in
+      let mask =
+        if hi_bit - lo_bit = 64 then -1L
+        else
+          Int64.shift_left
+            (Int64.sub (Int64.shift_left 1L (hi_bit - lo_bit)) 1L)
+            lo_bit
+      in
+      let word_addr = t.layout.Layout.shadow_base + (!w * 8) in
+      let c = Cap.set_addr t.shadow_cap word_addr in
+      let old =
+        M.rmw_u64 ctx c (fun old ->
+            if set then Int64.logor old mask else Int64.logand old (Int64.lognot mask))
+      in
+      let nw =
+        if set then Int64.logor old mask else Int64.logand old (Int64.lognot mask)
+      in
+      flipped := !flipped + popcount64 (Int64.logxor nw old);
+      incr w
+    done;
+    !flipped
+
+  let paint t ctx ~addr ~size =
+    let delta = rmw_range t ctx ~addr ~size ~set:true in
+    t.bits <- t.bits + delta;
+    M.trace_emit t.m ~time:(M.now ctx) ~core:(M.core_id ctx)
+      ~pid:(M.ctx_pid ctx) ~arg2:size Sim.Trace.Paint addr
+
+  let clear t ctx ~addr ~size =
+    let delta = rmw_range t ctx ~addr ~size ~set:false in
+    t.bits <- t.bits - delta;
+    M.trace_emit t.m ~time:(M.now ctx) ~core:(M.core_id ctx)
+      ~pid:(M.ctx_pid ctx) ~arg2:size Sim.Trace.Unpaint addr
+end
+
+type paint_ops = {
+  paint : M.ctx -> addr:int -> size:int -> unit;
+  clear : M.ctx -> addr:int -> size:int -> unit;
+  bits : unit -> int;
+}
+
+let revmap_ops m =
+  let rm = Revmap.create m in
+  {
+    paint = (fun ctx ~addr ~size -> Revmap.paint rm ctx ~addr ~size);
+    clear = (fun ctx ~addr ~size -> Revmap.clear rm ctx ~addr ~size);
+    bits = (fun () -> Revmap.set_bits rm);
+  }
+
+let reference_ops m =
+  let rm = Revmap_reference.create m in
+  {
+    paint = (fun ctx ~addr ~size -> Revmap_reference.paint rm ctx ~addr ~size);
+    clear = (fun ctx ~addr ~size -> Revmap_reference.clear rm ctx ~addr ~size);
+    bits = (fun () -> rm.Revmap_reference.bits);
+  }
+
+let shadow_pages = 8
+
+(* Run paint/clear [ops] (set?, first granule, granules) on core 3 while
+   a sleeper shares the core, so quantum expiries inside the updates
+   switch threads; then read back everything the updates can touch. *)
+let observe_paint mk ops =
+  let m = M.create cfg in
+  let tr = Sim.Trace.create ~capacity:65536 () in
+  M.attach_tracer m (Some tr);
+  let bits = ref 0 in
+  ignore
+    (M.spawn m ~name:"app" ~core:3 (fun ctx ->
+         let _ = map_heap m ctx shadow_pages in
+         let o = mk m in
+         List.iter
+           (fun (set, g, n) ->
+             let addr = heap_base m + (g * 16) and size = n * 16 in
+             if set then o.paint ctx ~addr ~size else o.clear ctx ~addr ~size)
+           ops;
+         bits := o.bits ()));
+  ignore
+    (M.spawn m ~name:"sleeper" ~core:3 (fun ctx ->
+         for _ = 1 to 40 do
+           M.sleep ctx 700
+         done));
+  M.run m;
+  let layout = M.layout m in
+  let shadow =
+    List.init
+      ((layout.Layout.shadow_limit - layout.Layout.shadow_base) / 8)
+      (fun w ->
+        match Vm.Aspace.translate (M.aspace m) (layout.Layout.shadow_base + (w * 8)) with
+        | Some (pa, _) -> Tagmem.Mem.read_u64 (M.mem m) pa
+        | None -> 0L)
+  in
+  let cores = List.init (M.num_cores m) Fun.id in
+  let events = ref [] in
+  Sim.Trace.iter tr (fun e -> events := e :: !events);
+  ( shadow,
+    !bits,
+    List.map (M.core_clock m) cores,
+    List.map (M.cache_stats m) cores,
+    List.rev !events )
+
+let paint_ops_gen =
+  QCheck.Gen.(
+    list_size (int_range 1 40)
+      (let* set = bool in
+       let* g = int_bound ((shadow_pages * 256) - 1) in
+       let* n = int_range 1 200 in
+       return (set, g, min n ((shadow_pages * 256) - g))))
+
+let prop_paint_clear_matches_reference =
+  QCheck.Test.make ~name:"paint/clear == pre-rewrite reference" ~count:60
+    (QCheck.make
+       ~print:(fun ops ->
+         String.concat " "
+           (List.map
+              (fun (set, g, n) -> Printf.sprintf "%c%d+%d" (if set then 'P' else 'C') g n)
+              ops))
+       paint_ops_gen)
+    (fun ops -> observe_paint revmap_ops ops = observe_paint reference_ops ops)
+
 (* ---- epoch ---- *)
 
 let test_epoch_protocol () =
@@ -319,6 +477,67 @@ let test_munmap_quarantine_cycle () =
   M.run m;
   check_int "one released" 1 !released
 
+(* ---- host allocation on the revocation path ---- *)
+
+(* Minor-heap words allocated per call of [f], over [n] calls after a
+   warm-up. *)
+let words_per_call ?(n = 2_000) f =
+  for _ = 1 to 50 do
+    f ()
+  done;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+(* Bytecode boxes what native code keeps in registers, so the counts
+   below hold in native code only. *)
+let native_only () = if Sys.backend_type <> Sys.Native then Alcotest.skip ()
+
+let test_paint_clear_allocation () =
+  native_only ();
+  let per_call =
+    with_machine (fun m ctx ->
+        let _ = map_heap m ctx 4 in
+        let rm = Revmap.create m in
+        (* 1,040 bytes from granule 60: three shadow words *)
+        let addr = heap_base m + (60 * 16) and size = 65 * 16 in
+        words_per_call (fun () ->
+            Revmap.paint rm ctx ~addr ~size;
+            Revmap.clear rm ctx ~addr ~size)
+        /. 2.0)
+  in
+  if per_call >= 1.0 then
+    Alcotest.failf "Revmap.paint/clear allocate %.2f words per call" per_call
+
+(* Two pages, one holding 1 and one 200 tagged, unpainted capabilities:
+   repeated sweeps see the same page each time, so the difference is the
+   words per tagged granule (none) and the 1-capability page bounds the
+   per-page constant (the returned [stats] record). *)
+let test_sweep_page_allocation () =
+  native_only ();
+  let w1, w200 =
+    with_machine (fun m ctx ->
+        let heap = map_heap m ctx 4 in
+        let rm = Revmap.create m in
+        let plant page count =
+          for i = 0 to count - 1 do
+            let va = heap_base m + (page * 4096) + (i * 16) in
+            M.store_cap_at ctx heap va (Cap.set_bounds heap ~base:va ~length:16)
+          done;
+          match Vm.Aspace.translate (M.aspace m) (heap_base m + (page * 4096)) with
+          | Some (_, pte) -> pte
+          | None -> Alcotest.fail "unmapped"
+        in
+        let p1 = plant 0 1 and p200 = plant 1 200 in
+        ( words_per_call (fun () -> ignore (Sweep.sweep_page ctx rm ~pte:p1)),
+          words_per_call (fun () -> ignore (Sweep.sweep_page ctx rm ~pte:p200)) ))
+  in
+  if w200 -. w1 >= 0.5 then
+    Alcotest.failf "sweep_page: %.2f words for 1 tagged granule, %.2f for 200" w1 w200;
+  if w1 > 8.0 then Alcotest.failf "sweep_page allocates %.2f words per page" w1
+
 let () =
   Alcotest.run "ccr"
     [
@@ -350,5 +569,12 @@ let () =
         ] );
       ("munmap", [ Alcotest.test_case "quarantine cycle" `Quick test_munmap_quarantine_cycle ]);
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ prop_revmap_paint_clear_roundtrip ] );
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_revmap_paint_clear_roundtrip; prop_paint_clear_matches_reference ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "paint+clear under a word" `Quick test_paint_clear_allocation;
+          Alcotest.test_case "sweep words independent of tags" `Quick
+            test_sweep_page_allocation;
+        ] );
     ]

@@ -58,6 +58,73 @@ let test_pmap_sorted () =
     [ 9; 2; 5 ];
   Alcotest.(check (list int)) "sorted" [ 2; 5; 9 ] (Pmap.sorted_vpages pm)
 
+(* ---- the revoker's heap walk ---- *)
+
+(* Random pmap histories over vpages that collide in the lookup cache
+   (8192 slots), with lookups mixed in so the cache holds stale and
+   negative entries when the walk runs. *)
+let pmap_history_gen =
+  QCheck.Gen.(
+    let op =
+      let* vp = int_bound 20_000 in
+      let* k = int_bound 2 in
+      return (k, vp)
+    in
+    let* ops = list_size (int_bound 400) op in
+    let* lo = int_bound 20_000 in
+    let* len = int_bound 20_000 in
+    return (ops, lo, lo + len))
+
+let build_pmap ops =
+  let pm = Pmap.create ~asid:0 in
+  List.iter
+    (fun (k, vp) ->
+      match k with
+      | 0 -> Pmap.enter pm ~vpage:vp (Pte.make ~frame:vp ~writable:true ~clg:false)
+      | 1 -> Pmap.remove pm ~vpage:vp
+      | _ -> ignore (Pmap.lookup pm ~vpage:vp))
+    ops;
+  pm
+
+let prop_iter_range_is_filtered_sort =
+  QCheck.Test.make ~name:"iter_range = filter over sorted_vpages" ~count:200
+    (QCheck.make pmap_history_gen) (fun (ops, lo, hi) ->
+      let pm = build_pmap ops in
+      let walked = ref [] in
+      Pmap.iter_range pm ~lo ~hi ~f:(fun vp pte ->
+          walked := (vp, pte) :: !walked);
+      let expected =
+        List.filter (fun vp -> vp >= lo && vp <= hi) (Pmap.sorted_vpages pm)
+      in
+      List.map fst (List.rev !walked) = expected
+      && List.for_all
+           (fun (vp, pte) ->
+             match Pmap.lookup pm ~vpage:vp with Some p -> p == pte | None -> false)
+           !walked)
+
+(* Bytecode boxes what native code keeps in registers, so the counts
+   below hold in native code only. *)
+let native_only () = if Sys.backend_type <> Sys.Native then Alcotest.skip ()
+
+let test_iter_range_allocation () =
+  native_only ();
+  let words pages =
+    let pm = Pmap.create ~asid:0 in
+    for vp = 1 to pages do
+      Pmap.enter pm ~vpage:vp (Pte.make ~frame:vp ~writable:true ~clg:false)
+    done;
+    (* half the range unmapped, and most of it past the lookup cache *)
+    let walk () = Pmap.iter_range pm ~lo:0 ~hi:(2 * pages) ~f:(fun _ _ -> ()) in
+    walk ();
+    let w0 = Gc.minor_words () in
+    for _ = 1 to 100 do
+      walk ()
+    done;
+    (Gc.minor_words () -. w0) /. 100.0
+  in
+  Alcotest.(check (float 0.0)) "one page" 0.0 (words 1);
+  Alcotest.(check (float 0.0)) "20000 pages" 0.0 (words 20_000)
+
 let test_pmap_lock_protocol () =
   let pm = Pmap.create ~asid:0 in
   let contended = Pmap.lock pm ~who:1 in
@@ -232,7 +299,11 @@ let () =
           Alcotest.test_case "lock protocol" `Quick test_pmap_lock_protocol;
           Alcotest.test_case "generation" `Quick test_pmap_generation;
           Alcotest.test_case "busy" `Quick test_pmap_busy;
+          QCheck_alcotest.to_alcotest prop_iter_range_is_filtered_sort;
         ] );
+      ( "allocation",
+        [ Alcotest.test_case "heap walk allocates nothing" `Quick test_iter_range_allocation ]
+      );
       ( "tlb",
         [
           Alcotest.test_case "fill and hit" `Quick test_tlb_fill_and_hit;

@@ -278,6 +278,24 @@ let test_cli_bad_qps () =
          ])
        [ "nan"; "inf"; "0"; "-1" ])
 
+(* The serving knobs fail with a message instead of producing numbers
+   (a negative deadline used to shed every request and exit 0) or dying
+   in an uncaught exception (zero servers or queue depth). *)
+let test_cli_bad_serving_flags () =
+  check_cli_rejects
+    (List.concat_map
+       (fun v ->
+         [
+           ("ccr_serve.exe", [ "--deadline-us=" ^ v ]);
+           ("ccr_serve.exe", [ "--target-p99-us=" ^ v ]);
+           ("ccr_fleet.exe", [ "--deadline-us=" ^ v ]);
+           ("ccr_fleet.exe", [ "--target-p99-us=" ^ v ]);
+         ])
+       [ "nan"; "inf"; "0"; "-1"; "-5" ]
+    @ List.concat_map
+        (fun flag -> [ ("ccr_serve.exe", [ flag ^ "=0" ]); ("ccr_serve.exe", [ flag ^ "=-1" ]) ])
+        [ "--servers"; "--queue-depth" ])
+
 (* ---- pgbench ---- *)
 
 let pg_tiny =
@@ -352,6 +370,8 @@ let () =
           Alcotest.test_case "Loadgen.schedule rejects bad rates" `Quick
             test_loadgen_bad_rate;
           Alcotest.test_case "CLIs reject bad values" `Quick test_cli_bad_qps;
+          Alcotest.test_case "CLIs reject bad serving flags" `Quick
+            test_cli_bad_serving_flags;
         ] );
       ( "pgbench",
         [
