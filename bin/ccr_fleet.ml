@@ -153,7 +153,8 @@ let resilience_of rc name =
   let breaker =
     if not rc.c_breaker then None
     else if rc.c_bfail < 1 then err "--breaker-failures must be at least 1"
-    else if rc.c_bcool_us <= 0.0 then err "--breaker-cooloff-us must be positive"
+    else if not (Float.is_finite rc.c_bcool_us && rc.c_bcool_us > 0.0) then
+      err "--breaker-cooloff-us must be finite and positive"
     else
       Some
         {
@@ -175,7 +176,8 @@ let resilience_of rc name =
           b_exit = rc.c_bexit;
         }
   in
-  if rc.c_rto_us <= 0.0 then err "--rto-us must be positive";
+  if not (Float.is_finite rc.c_rto_us && rc.c_rto_us > 0.0) then
+    err "--rto-us must be finite and positive";
   if rc.c_rounds < 1 then err "--max-rounds must be at least 1";
   {
     Fleet.retry;
@@ -300,7 +302,8 @@ let fleet hostss balancers failuress modes qps requests users governed
         if not (Float.is_finite d && d > 0.0) then
           err "--deadline-us must be finite and positive")
       deadline;
-    if critical < 0.0 || background < 0.0 || critical +. background > 1.0 then
+    if not (critical >= 0.0 && background >= 0.0 && critical +. background <= 1.0)
+    then
       err "--critical and --background must be nonnegative and sum to at most 1";
     if rescli.c_retries = [] then err "--retry needs at least one policy";
     let resiliences =

@@ -14,8 +14,6 @@ module Loadgen = Service.Loadgen
 module Slo = Service.Slo
 module Governor = Service.Governor
 module Serve = Workload.Serve
-module Sanitizer = Analysis.Sanitizer
-module Race = Analysis.Race
 
 let mode_of_string = function
   | "baseline" -> Ok Runtime.Baseline
@@ -74,8 +72,6 @@ type run_row = {
   r_governed : bool;
   r_qps : float;
   r_outcome : Serve.outcome;
-  r_clean : bool; (* sanitizer + race detector + accounting, when --check *)
-  r_report : string; (* buffered checker findings; printed by the caller *)
   r_duration_ms : float; (* host wall-clock of this sweep point *)
 }
 
@@ -96,52 +92,17 @@ let pattern_at ~pattern ~qps =
   | _ -> Loadgen.Poisson qps
 
 (* One run of the serving workload at one sweep point. Runs on a worker
-   domain under --jobs, so it never prints: checker findings go into the
-   row's [r_report] buffer and the caller emits them in submission
-   order. *)
-let run_point ~cfg ~check ~pattern ~mode ~governed ~qps =
+   domain under --jobs, so it never prints: checker findings stay in the
+   outcome's [report] and the caller emits them in submission order. *)
+let run_point ~cfg ~pattern ~mode ~governed ~qps =
   let t0 = Unix.gettimeofday () in
   let cfg = { cfg with Serve.pattern = pattern_at ~pattern ~qps } in
-  let san = ref None and race = ref None in
-  (* Checkers subscribe losslessly; the large ring just keeps the
-     overwrite warning quiet on long sweeps. *)
-  let tracer =
-    if check then Some (Sim.Trace.create ~capacity:(1 lsl 20) ()) else None
-  in
-  let on_runtime rt =
-    if check then begin
-      san := Some (Sanitizer.attach ?revoker:rt.Runtime.revoker rt.Runtime.machine);
-      race := Some (Race.attach rt.Runtime.machine)
-    end
-  in
-  let o = Serve.run ~config:cfg ?tracer ~on_runtime ~governed ~mode () in
-  let accounted =
-    o.Serve.served + o.Serve.shed_depth + o.Serve.shed_deadline = o.Serve.offered
-    && o.Serve.offered = cfg.Serve.requests
-  in
-  let report = Buffer.create 0 in
-  let rfmt = Format.formatter_of_buffer report in
-  let clean =
-    match (!san, !race) with
-    | Some san, Some race ->
-        Sanitizer.finish san;
-        if not (Sanitizer.ok san) then Sanitizer.report rfmt san;
-        if not (Race.ok race) then Race.report rfmt race;
-        Sanitizer.ok san && Race.ok race && accounted
-    | _ -> accounted
-  in
-  if not accounted then
-    Format.fprintf rfmt
-      "ccr_serve: SLO accounting drift: served %d + shed %d+%d <> offered %d@."
-      o.Serve.served o.Serve.shed_depth o.Serve.shed_deadline o.Serve.offered;
-  Format.pp_print_flush rfmt ();
+  let o = Serve.run ~config:cfg ~governed ~mode () in
   {
     r_mode = Runtime.mode_name mode;
     r_governed = governed;
     r_qps = qps;
     r_outcome = o;
-    r_clean = clean;
-    r_report = Buffer.contents report;
     r_duration_ms = (Unix.gettimeofday () -. t0) *. 1000.0;
   }
 
@@ -230,6 +191,7 @@ let serve modes qpss governor requests servers queue_depth deadline_us
         deadline_us;
         target_p99_us = target_p99;
         seed;
+        check;
       }
     in
     let pattern_name = pattern in
@@ -259,11 +221,13 @@ let serve modes qpss governor requests servers queue_depth deadline_us
     let rows =
       Parallel.Pool.map ~jobs
         (fun (mode, qps, governed) ->
-          run_point ~cfg ~check ~pattern ~mode ~governed ~qps)
+          run_point ~cfg ~pattern ~mode ~governed ~qps)
         points
     in
     List.iter
-      (fun r -> if r.r_report <> "" then Format.eprintf "%s" r.r_report)
+      (fun r ->
+        if r.r_outcome.Serve.report <> "" then
+          Format.eprintf "%s" r.r_outcome.Serve.report)
       rows;
     Format.printf "%-12s %-4s %9s %9s %10s %10s %7s %6s %6s@." "mode" "gov"
       "qps" "p50us" "p99us" "p99.9us" "shed%" "defer" "force";
@@ -301,7 +265,7 @@ let serve modes qpss governor requests servers queue_depth deadline_us
         close_out oc;
         Format.printf "wrote %d records to %s@." (List.length rows) path);
     if check then
-      if List.for_all (fun r -> r.r_clean) rows then begin
+      if List.for_all (fun r -> r.r_outcome.Serve.clean) rows then begin
         Format.printf "check: ok (%d runs, zero findings, accounting exact)@."
           (List.length rows);
         0

@@ -492,11 +492,11 @@ let tenantecon_cmd =
       in
       if tenants < 1 then err "--tenants must be at least 1 (got %d)" tenants;
       if quota <= 0 then err "--quota must be positive (got %d)" quota;
-      if storm_at <= 0.0 then
+      if not (storm_at > 0.0) then
         err "--storm-at must be positive (got %g; use 1.0 or more to \
              disable the storm)" storm_at;
-      if phys_frac <= 0.0 then
-        err "--phys-frac must be positive (got %g)" phys_frac;
+      if not (Float.is_finite phys_frac && phys_frac > 0.0) then
+        err "--phys-frac must be finite and positive (got %g)" phys_frac;
       if requests < 1 then err "--requests must be at least 1 (got %d)" requests;
       if not (Float.is_finite rate && rate > 0.0) then
         err "--rate must be finite and positive (got %g)" rate;

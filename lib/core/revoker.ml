@@ -88,6 +88,7 @@ let default_recovery =
 type recovery_stats = {
   epoch_aborts : int;
   sweep_crash_retries : int;
+  epoch_resumes : int;
   quiesce_timeouts : int;
   backoff_cycles : int;
   downshifts : int;
@@ -193,6 +194,7 @@ type t = {
   mutable consecutive_aborts : int;
   mutable rs_epoch_aborts : int;
   mutable rs_sweep_crashes : int;
+  mutable rs_epoch_resumes : int;
   mutable rs_quiesce_timeouts : int;
   mutable rs_backoff_cycles : int;
   mutable rs_downshifts : int;
@@ -216,6 +218,7 @@ let recovery_stats t =
   {
     epoch_aborts = t.rs_epoch_aborts;
     sweep_crash_retries = t.rs_sweep_crashes;
+    epoch_resumes = t.rs_epoch_resumes;
     quiesce_timeouts = t.rs_quiesce_timeouts;
     backoff_cycles = t.rs_backoff_cycles;
     downshifts = t.rs_downshifts;
@@ -780,6 +783,7 @@ let run_epoch t ctx batches =
               ck_reset t;
               t.ck_stw_done <- false
           | Reloaded | Cheriot_filter -> ());
+          t.rs_epoch_resumes <- t.rs_epoch_resumes + 1;
           Machine.trace_emit t.m ~time:(Machine.now ctx) ~core:t.core
             ~pid:t.pid ~arg2:(n + 1) Sim.Trace.Epoch_resume
             (Epoch.counter t.epoch);
@@ -999,6 +1003,7 @@ let create m ~strategy ~core ?(non_temporal = false)
       consecutive_aborts = 0;
       rs_epoch_aborts = 0;
       rs_sweep_crashes = 0;
+      rs_epoch_resumes = 0;
       rs_quiesce_timeouts = 0;
       rs_backoff_cycles = 0;
       rs_downshifts = 0;

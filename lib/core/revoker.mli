@@ -95,6 +95,7 @@ val default_recovery : recovery
 type recovery_stats = {
   epoch_aborts : int;
   sweep_crash_retries : int;
+  epoch_resumes : int;  (** crashed epochs resumed, one per [Epoch_resume] *)
   quiesce_timeouts : int;
   backoff_cycles : int;
   downshifts : int;

@@ -1,6 +1,4 @@
-module Capability = Cheri.Capability
 module Machine = Sim.Machine
-module Prng = Sim.Prng
 module Cost = Sim.Cost
 module Trace = Sim.Trace
 module Runtime = Ccr.Runtime
@@ -8,10 +6,7 @@ module Revoker = Ccr.Revoker
 module Squeue = Service.Squeue
 module Slo = Service.Slo
 module Governor = Service.Governor
-module Loadgen = Service.Loadgen
-module Objtable = Workload.Objtable
-module Sanitizer = Analysis.Sanitizer
-module Race = Analysis.Race
+module Serve = Workload.Serve
 
 type arrival = { a_id : int; a_intended : int; a_cls : int }
 
@@ -66,52 +61,6 @@ type outcome = {
   h_governor : Governor.stats option;
   h_clean : bool;
   h_report : string;
-}
-
-let r_work = 1
-
-(* Same allocation texture as the single-host serving rig: per-request
-   temporaries, shared session state with occasional replacement, pure
-   compute — enough capability churn that the revoker has real work. *)
-let process_request cfg rt ctx rng regs sessions =
-  let temps =
-    Array.init cfg.temps_per_req (fun i ->
-        let c = Runtime.malloc rt ctx (128 + (Prng.int rng 56 * 16)) in
-        Machine.store_u64 ctx c (Int64.of_int i);
-        let prev = Sim.Regfile.get regs r_work in
-        if Capability.tag prev && Capability.length c >= 32 then
-          Machine.store_cap ctx (Capability.incr_addr c 16) prev;
-        Sim.Regfile.set regs r_work c;
-        c)
-  in
-  for _ = 1 to 2 do
-    match Objtable.random_live sessions rng ~hot:0.1 ~weight:0.5 with
-    | None -> ()
-    | Some slot ->
-        let c = Objtable.get sessions ctx slot in
-        if Capability.tag c then begin
-          Sim.Regfile.set regs r_work c;
-          ignore (Machine.load_u64 ctx c);
-          Machine.store_u64 ctx (Capability.incr_addr c 8) 7L;
-          if Prng.int rng 100 = 0 then begin
-            let nv = Runtime.malloc rt ctx 256 in
-            Machine.store_u64 ctx nv 1L;
-            Objtable.put sessions ctx slot nv ~size:256;
-            Runtime.free rt ctx c;
-            Sim.Regfile.set regs r_work Capability.null
-          end
-        end
-  done;
-  Machine.charge ctx cfg.compute_per_req;
-  Array.iter (fun c -> Runtime.free rt ctx c) temps;
-  Sim.Regfile.set regs r_work Capability.null
-
-let server_core i = [| 2; 3; 1 |].(i mod 3)
-
-type shared = {
-  mutable sessions : Objtable.t option;
-  init_cv : Machine.condvar;
-  mutable finished_servers : int;
 }
 
 (* A request whose service started before a crash and whose answer was
@@ -171,20 +120,7 @@ let crash_schedule cfg =
         faults;
       }
 
-(* Per-class deadline: the base budget stretched by the class factor
-   (critical 1x, normal 4x, background none — batch traffic is never
-   deadline-shed). Explicitly [None] for background even when the queue
-   has a base deadline, so the queue-wide fallback must stay unset. *)
-let class_deadline deadline_cycles cls =
-  match deadline_cycles with
-  | None -> None
-  | Some d ->
-      Option.map
-        (fun f -> int_of_float (float_of_int d *. f))
-        (Loadgen.deadline_factor (Loadgen.cls_of_code cls))
-
 let run cfg ~arrivals =
-  if cfg.servers < 1 then invalid_arg "Host.run: need at least one server";
   if cfg.slices < 1 then invalid_arg "Host.run: need at least one slice";
   let slices = Array.init cfg.slices (fun _ -> Stats.Histogram.create ()) in
   let span = max 1 (cfg.horizon - cfg.origin) in
@@ -192,47 +128,33 @@ let run cfg ~arrivals =
     let dt = max 0 (intended - cfg.origin) in
     min (cfg.slices - 1) (dt * cfg.slices / span)
   in
-  let heap_bytes = cfg.heap_mb * 1024 * 1024 in
-  let mconfig =
-    {
-      Machine.default_config with
-      heap_bytes;
-      mem_bytes = heap_bytes + (heap_bytes / 16) + (8 * 1024 * 1024);
-      seed = cfg.seed;
-    }
+  let rig =
+    Serve.create_rig
+      ~label:(Printf.sprintf "fleet-h%d" cfg.host)
+      ~heap_bytes:(cfg.heap_mb * 1024 * 1024)
+      ?policy:cfg.policy ?recovery:cfg.recovery ?brownout:cfg.brownout
+      ~governed:cfg.governed
+      {
+        Serve.default_config with
+        servers = cfg.servers;
+        queue_depth = cfg.queue_depth;
+        deadline_us = cfg.deadline_us;
+        target_p99_us = cfg.target_p99_us;
+        session_slots = cfg.session_slots;
+        temps_per_req = cfg.temps_per_req;
+        compute_per_req = cfg.compute_per_req;
+        seed = cfg.seed;
+        check = cfg.check;
+      }
+      cfg.mode
   in
-  let rt =
-    Runtime.create ~config:mconfig ?policy:cfg.policy ?recovery:cfg.recovery
-      ~revoker_core:3 cfg.mode
-  in
+  let rt = Serve.runtime rig and queue = Serve.queue rig in
+  let slo = Serve.slo rig in
   let m = rt.Runtime.machine in
-  (* Hosts always trace: the resume/injection counters subscribe
-     losslessly, and the ring's one-shot drop warning is silenced so a
-     worker domain never prints. *)
-  let tracer = Trace.create ~capacity:(1 lsl 16) () in
-  Machine.attach_tracer m (Some tracer);
-  Trace.set_warn_on_drop tracer false;
-  let resumes = ref 0 and injected = ref 0 in
-  ignore
-    (Trace.subscribe tracer (fun e ->
-         match e.Trace.kind with
-         | Trace.Epoch_resume -> incr resumes
-         | Trace.Chaos_inject -> incr injected
-         | _ -> ()));
-  let san = ref None and race = ref None in
-  if cfg.check then begin
-    san := Some (Sanitizer.attach ?revoker:rt.Runtime.revoker m);
-    race := Some (Race.attach m)
-  end;
-  let deadline = Option.map Cost.cycles_of_us cfg.deadline_us in
-  let queue =
-    Squeue.create m ~max_depth:cfg.queue_depth ?brownout:cfg.brownout ()
-  in
   (* per-request terminal outcomes, keyed by fleet request id *)
   let results : (int, result) Hashtbl.t =
     Hashtbl.create (max 16 (Array.length arrivals))
   in
-  let inservice_lost = ref 0 in
   (* The crash half of lost-in-flight: at each window start the
      Inflight_loss fault drains everything still queued. *)
   let drop_inflight ctx =
@@ -243,158 +165,57 @@ let run cfg ~arrivals =
       dropped;
     List.length dropped
   in
-  let _chaos =
+  let chaos =
     Option.map
       (fun s ->
         Chaos.install m ~revoker:rt.Runtime.revoker ~mrs:rt.Runtime.mrs
           ~drop_inflight s)
       (crash_schedule cfg)
   in
-  let slo = Slo.create ~target_p99_us:cfg.target_p99_us () in
-  let gov =
-    if cfg.governed && rt.Runtime.revoker <> None then
-      Some
-        (Governor.install ~target_p99_us:cfg.target_p99_us
-           ~p99:(fun () -> Slo.p99_estimate slo)
-           ~brownout:(fun () -> Squeue.brownout_active queue)
-           rt
-           ~depth:(fun () -> Squeue.depth queue)
-           ())
-    else None
-  in
-  let sh =
-    { sessions = None; init_cv = Machine.condvar (); finished_servers = 0 }
-  in
-  let wall_end = ref 0 in
-  (* The fleet dispatcher models the outside world: arrivals carry
-     absolute fleet-clock timestamps, and the generator releases each
-     request at its intended time no matter what the host is doing. The
-     balancer never dispatches arrivals into this host's blackout
-     windows, so everything lost here was admitted before a crash. *)
-  let _generator =
-    Machine.spawn m
-      ~name:(Printf.sprintf "fleet-h%d-loadgen" cfg.host)
-      ~core:0 ~user:false
-      (fun ctx ->
-        while sh.sessions = None do
-          Machine.wait ctx sh.init_cv
-        done;
-        Array.iter
-          (fun a ->
-            let dt = a.a_intended - Machine.now ctx in
-            if dt > 0 then Machine.sleep ctx dt;
-            Slo.note_offered slo;
-            ignore
-              (Squeue.offer queue ctx
-                 {
-                   Squeue.id = a.a_id;
-                   intended = a.a_intended;
-                   cls = a.a_cls;
-                   deadline = class_deadline deadline a.a_cls;
-                   tenant = 0;
-                 }))
-          arrivals;
-        Squeue.close queue ctx)
-  in
-  let server id =
-    Machine.spawn m
-      ~name:(Printf.sprintf "fleet-h%d-server-%d" cfg.host id)
-      ~core:(server_core id)
-      (fun ctx ->
-        let regs = Machine.regs (Machine.self ctx) in
-        let rng = Prng.create ~seed:(cfg.seed * 31 * (id + 1)) in
-        if id = 0 then begin
-          let sessions = Objtable.create rt ctx ~slots:cfg.session_slots in
-          for slot = 0 to cfg.session_slots - 1 do
-            let c = Runtime.malloc rt ctx 256 in
-            Machine.store_u64 ctx c (Int64.of_int slot);
-            Objtable.put sessions ctx slot c ~size:256
-          done;
-          sh.sessions <- Some sessions;
-          Machine.broadcast ctx sh.init_cv
-        end
-        else
-          while sh.sessions = None do
-            Machine.wait ctx sh.init_cv
-          done;
-        let sessions = Option.get sh.sessions in
-        let rec serve () =
-          if Squeue.depth queue = 0 then
-            Option.iter (fun g -> Governor.maybe_eager g ctx) gov;
-          match Squeue.take queue ctx with
-          | None -> ()
-          | Some req ->
-              let started = Machine.now ctx in
-              process_request cfg rt ctx rng regs sessions;
-              let completed = Machine.now ctx in
-              (match
-                 crossed_crash cfg.windows ~started ~completed
-               with
-              | Some down ->
-                  (* the crash destroyed the response before it left the
-                     host: the work is wasted, the client hears nothing,
-                     and this server rides out the outage (its reboot) *)
-                  incr inservice_lost;
-                  Machine.trace_emit m ~time:completed
-                    ~core:(Machine.core_id ctx) ~pid:(Machine.ctx_pid ctx)
-                    ~arg2:1 Trace.Req_lost req.Squeue.id;
-                  Hashtbl.replace results req.Squeue.id (R_lost { at = down });
-                  let up =
-                    List.fold_left
-                      (fun acc (d, u) -> if d = down then u else acc)
-                      completed cfg.windows
-                  in
-                  let dt = up - Machine.now ctx in
-                  if dt > 0 then Machine.sleep ctx dt
-              | None ->
-                  let lat =
-                    Slo.record slo ~intended:req.Squeue.intended ~completed
-                  in
-                  Hashtbl.replace results req.Squeue.id
-                    (R_served { completed; latency_us = lat });
-                  Stats.Histogram.record
-                    slices.(slice_of req.Squeue.intended)
-                    lat);
-              serve ()
+  let complete ctx (req : Squeue.req) ~started ~completed =
+    match crossed_crash cfg.windows ~started ~completed with
+    | Some down ->
+        (* the crash destroyed the response before it left the host: the
+           work is wasted, the client hears nothing, and this server
+           rides out the outage (its reboot) *)
+        Machine.trace_emit m ~time:completed ~core:(Machine.core_id ctx)
+          ~pid:(Machine.ctx_pid ctx) ~arg2:1 Trace.Req_lost req.id;
+        Hashtbl.replace results req.id (R_lost { at = down });
+        let up =
+          List.fold_left
+            (fun acc (d, u) -> if d = down then u else acc)
+            completed cfg.windows
         in
-        serve ();
-        sh.finished_servers <- sh.finished_servers + 1;
-        if sh.finished_servers = cfg.servers then begin
-          wall_end := Machine.now ctx;
-          Option.iter Governor.uninstall gov;
-          Runtime.finish rt ctx
-        end)
+        let dt = up - Machine.now ctx in
+        if dt > 0 then Machine.sleep ctx dt;
+        false
+    | None ->
+        let lat = Slo.record slo ~intended:req.intended ~completed in
+        Hashtbl.replace results req.id (R_served { completed; latency_us = lat });
+        Stats.Histogram.record slices.(slice_of req.intended) lat;
+        true
   in
-  ignore (List.init cfg.servers server);
-  Machine.run m;
+  (* The fleet dispatcher models the outside world: arrivals carry
+     absolute fleet-clock timestamps, released whatever the host is
+     doing. The balancer never dispatches arrivals into this host's
+     blackout windows, so everything lost here was admitted before a
+     crash. *)
+  let f =
+    Serve.run_rig rig
+      {
+        Serve.count = Array.length arrivals;
+        intended = (fun ~ready:_ i -> arrivals.(i).a_intended);
+        id = (fun i -> arrivals.(i).a_id);
+        cls = (fun i -> arrivals.(i).a_cls);
+      }
+      ~complete
+  in
   List.iter
     (fun ((r : Squeue.req), why, at) ->
       Hashtbl.replace results r.id (R_shed { why; at }))
     (Squeue.shed_log queue);
-  let lost_total = Squeue.lost queue + !inservice_lost in
-  let accounted =
-    Slo.served slo + Squeue.shed queue + lost_total = Slo.offered slo
-    && Slo.offered slo = Array.length arrivals
-    && Hashtbl.length results = Array.length arrivals
-  in
-  let report = Buffer.create 0 in
-  let rfmt = Format.formatter_of_buffer report in
-  let clean =
-    match (!san, !race) with
-    | Some san, Some race ->
-        Sanitizer.finish san;
-        if not (Sanitizer.ok san) then Sanitizer.report rfmt san;
-        if not (Race.ok race) then Race.report rfmt race;
-        Sanitizer.ok san && Race.ok race && accounted
-    | _ -> accounted
-  in
-  if not accounted then
-    Format.fprintf rfmt
-      "host %d: accounting drift: served %d + shed %d + lost %d <> arrivals \
-       %d (results %d)@."
-      cfg.host (Slo.served slo) (Squeue.shed queue) lost_total
-      (Array.length arrivals) (Hashtbl.length results);
-  Format.pp_print_flush rfmt ();
+  (* ids are unique, so every arrival has exactly one result *)
+  let complete_results = Hashtbl.length results = Array.length arrivals in
   let phases = Runtime.revoker_records rt in
   let stw_total, stw_max =
     List.fold_left
@@ -402,17 +223,12 @@ let run cfg ~arrivals =
         (t + p.Revoker.stw_cycles, max mx p.Revoker.stw_cycles))
       (0, 0) phases
   in
-  let rs =
+  let resumes, crash_retries =
     match rt.Runtime.revoker with
-    | Some rv -> Revoker.recovery_stats rv
-    | None ->
-        {
-          Revoker.epoch_aborts = 0;
-          sweep_crash_retries = 0;
-          quiesce_timeouts = 0;
-          backoff_cycles = 0;
-          downshifts = 0;
-        }
+    | Some rv ->
+        let rs = Revoker.recovery_stats rv in
+        (rs.Revoker.epoch_resumes, rs.Revoker.sweep_crash_retries)
+    | None -> (0, 0)
   in
   let h_results =
     Hashtbl.fold (fun id r acc -> (id, r) :: acc) results []
@@ -426,20 +242,25 @@ let run cfg ~arrivals =
     h_shed_depth = Squeue.shed_depth queue;
     h_shed_deadline = Squeue.shed_deadline queue;
     h_shed_brownout = Squeue.shed_brownout queue;
-    h_lost = lost_total;
+    h_lost = f.Serve.lost;
     h_brownout_shifts = Squeue.brownout_shifts queue;
     h_violations = Slo.violations slo;
     h_hist = Slo.histogram slo;
     h_slices = slices;
     h_results;
-    h_wall_cycles = !wall_end;
+    h_wall_cycles = f.Serve.wall_end;
     h_epochs = List.length phases;
     h_stw_pause_us = Cost.cycles_to_us stw_total;
     h_max_pause_us = Cost.cycles_to_us stw_max;
-    h_epoch_resumes = !resumes;
-    h_sweep_crash_retries = rs.Revoker.sweep_crash_retries;
-    h_chaos_injected = !injected;
-    h_governor = Option.map Governor.stats gov;
-    h_clean = clean;
-    h_report = Buffer.contents report;
+    h_epoch_resumes = resumes;
+    h_sweep_crash_retries = crash_retries;
+    h_chaos_injected = (match chaos with Some c -> Chaos.injected c | None -> 0);
+    h_governor = Option.map Governor.stats f.Serve.governor;
+    h_clean = f.Serve.rig_clean && complete_results;
+    h_report =
+      (if complete_results then f.Serve.rig_report
+       else
+         Printf.sprintf "%shost %d: %d results for %d arrivals\n"
+           f.Serve.rig_report cfg.host (Hashtbl.length results)
+           (Array.length arrivals));
   }

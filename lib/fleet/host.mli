@@ -1,12 +1,16 @@
 (** One simulated fleet host: a full machine / physical memory /
     allocator / revoker stack serving its shard of the global trace.
 
-    The host runs the open-loop serving rig of {!Workload.Serve} against
-    an {e explicit} arrival list instead of generating its own: the
-    fleet dispatcher owns the trace, and every latency is measured from
-    the request's fleet-wide intended arrival — a request redistributed
-    to this host after a failover still charges its queueing delay from
-    the original timestamp.
+    {!run} is a caller of the open-loop serving rig of {!Workload.Serve}
+    ({!Workload.Serve.create_rig}/{!Workload.Serve.run_rig}). It feeds
+    the rig an {e explicit} arrival list instead of a generated one: the
+    fleet dispatcher owns the trace, arrivals are released at absolute
+    fleet-clock cycles, and every latency is measured from the request's
+    fleet-wide intended arrival — a request redistributed to this host
+    after a failover still charges its queueing delay from the original
+    timestamp. What the host adds is the crash model, the per-request
+    results and the time slices; it installs its chaos schedule between
+    building the rig and running it, once the queue exists.
 
     Blackout [windows] model this host's crashes/restarts with {e real
     loss semantics}: at each window start an {!Chaos.Inflight_loss}
@@ -38,8 +42,9 @@ type result =
       (** answered; [latency_us] measured from this arrival's own
           intended time *)
   | R_shed of { why : int; at : int }
-      (** rejected ({!Service.Squeue.why_depth} / [why_deadline] /
-          [why_brownout]) at cycle [at] — the client hears the refusal
+      (** rejected at cycle [at], [why] being the [Req_shed] code
+          ({!Service.Squeue.why_deadline}, {!Service.Squeue.why_brownout},
+          or 0 for queue depth) — the client hears the refusal
           immediately *)
   | R_lost of { at : int }
       (** destroyed by the crash at cycle [at] (queued or in service) —
@@ -64,7 +69,9 @@ type config = {
   compute_per_req : int;
   heap_mb : int;
   seed : int;
-  check : bool;  (** attach the protocol sanitizer + race detector *)
+  check : bool;
+      (** attach a tracer, the protocol sanitizer and the race detector;
+          unchecked hosts run without a tracer *)
   policy : Ccr.Policy.t option;
   recovery : Ccr.Revoker.recovery option;
   windows : (int * int) list;  (** blackouts, [(down, up)] cycles *)
@@ -96,7 +103,9 @@ type outcome = {
   h_epochs : int;  (** revocation epochs closed *)
   h_stw_pause_us : float;  (** total world-stopped time, µs *)
   h_max_pause_us : float;  (** worst single pause, µs *)
-  h_epoch_resumes : int;  (** checkpointed-epoch resumptions after crashes *)
+  h_epoch_resumes : int;
+      (** checkpointed-epoch resumptions after crashes
+          ({!Ccr.Revoker.recovery_stats}) *)
   h_sweep_crash_retries : int;
   h_chaos_injected : int;  (** chaos faults that actually fired *)
   h_governor : Service.Governor.stats option;

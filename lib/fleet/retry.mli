@@ -40,8 +40,9 @@ val policy_of_name : string -> policy option
 
 val validate : policy -> unit
 (** Raises [Invalid_argument] on out-of-range parameters
-    ([max_attempts] outside [2, 16], non-positive delays, [cap < base],
-    [ratio] outside [0, 1], [burst < 1]). *)
+    ([max_attempts] outside [2, 16], delays that are not finite or are
+    negative (zero for [base_us]), [cap < base], [ratio] outside
+    [0, 1] or NaN, [burst < 1]). *)
 
 val max_attempts : policy -> int
 (** Total attempts including the original send; 1 for [No_retry]. *)
@@ -60,8 +61,8 @@ type hedge = {
 }
 
 val validate_hedge : hedge -> unit
-(** Raises [Invalid_argument] if [h_pct] is outside [50, 100) or the
-    floor is negative. *)
+(** Raises [Invalid_argument] if [h_pct] is outside [50, 100) or NaN,
+    or the floor is negative or not finite. *)
 
 (** {2 Per-class retry budgets}
 

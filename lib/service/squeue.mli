@@ -6,10 +6,8 @@
     - {b queue-depth} ([arg2 = 0]): [offer] refuses a request when the
       queue is already at [max_depth] — backpressure at admission;
     - {b deadline} ([arg2 = 1]): [take] discards a request whose queueing
-      delay already exceeds its deadline — it would miss its SLO even
-      with instantaneous service, so serving it only burns cycles. The
-      effective deadline is the request's own [deadline] field when set,
-      else the queue-wide default;
+      delay already exceeds its own [deadline] — it would miss its SLO
+      even with instantaneous service, so serving it only burns cycles;
     - {b brownout} ([arg2 = 2]): while the brownout controller is
       active, [offer] sheds every request whose class code is at least
       [b_min_cls] — graceful degradation drops the least important
@@ -37,17 +35,16 @@ type req = {
   intended : int;  (** intended arrival, cycles *)
   cls : int;  (** priority class code ({!Service.Loadgen.cls_code}) *)
   deadline : int option;
-      (** per-request deadline (cycles of queueing delay); [None] falls
-          back to the queue-wide default *)
+      (** per-request deadline (cycles of queueing delay); [None] is
+          never deadline-shed *)
   tenant : int;
       (** owning tenant pid for the quota gate; 0 for single-tenant rigs *)
 }
 
-val why_depth : int
 val why_deadline : int
 val why_brownout : int
-val why_quota : int
-(** The [arg2] codes carried by [Req_shed] and {!shed_log}. *)
+(** Two of the [arg2] codes carried by [Req_shed] and {!shed_log}; the
+    others are 0 (queue depth) and 3 (quota). *)
 
 type brownout = {
   b_enter : int;  (** engage when depth at an offer reaches this *)
@@ -63,14 +60,13 @@ type t
 val create :
   Sim.Machine.t ->
   max_depth:int ->
-  ?deadline:int ->
   ?brownout:brownout ->
   ?quota_gate:(int -> bool) ->
   unit ->
   t
-(** No deadline dropping unless [deadline] (or a per-request deadline)
-    is given; no brownout shedding unless [brownout] is given; no quota
-    shedding unless [quota_gate] is given ([quota_gate tenant] returning
+(** No deadline dropping unless a request carries its own deadline; no
+    brownout shedding unless [brownout] is given; no quota shedding
+    unless [quota_gate] is given ([quota_gate tenant] returning
     [true] means the tenant is over quota {e right now} — typically
     [Tenant.Ledger.over_quota]). Raises [Invalid_argument] if
     [max_depth <= 0], if the brownout band is inverted

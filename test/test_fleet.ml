@@ -647,7 +647,17 @@ let test_recovery_resumes_epoch () =
   checki "per-request sheds"
     (o.Host.h_shed_depth + o.Host.h_shed_deadline + o.Host.h_shed_brownout)
     shed;
-  checki "per-request losses" o.Host.h_lost lost
+  checki "per-request losses" o.Host.h_lost lost;
+  (* Unchecked hosts attach no tracer: the resume and injection counts
+     come from the revoker and the chaos engine instead, and everything
+     but the checker verdict must come out the same. *)
+  let u = Host.run { cfg with check = false } ~arrivals in
+  check "unchecked host simulates the same" true
+    (host_fingerprint
+       { u with Host.h_clean = o.Host.h_clean; h_report = o.Host.h_report }
+    = host_fingerprint o);
+  check "unchecked host reports the same results" true
+    (u.Host.h_results = o.Host.h_results)
 
 let () =
   Alcotest.run "fleet"

@@ -72,7 +72,7 @@ let test_squeue_shedding () =
     (Sim.Trace.subscribe tracer (fun e ->
          if e.Sim.Trace.kind = Sim.Trace.Req_shed then
            sheds := (e.Sim.Trace.arg, e.Sim.Trace.arg2) :: !sheds));
-  let q = Squeue.create m ~max_depth:2 ~deadline:(Cost.cycles_of_us 100.0) () in
+  let q = Squeue.create m ~max_depth:2 () in
   let served = ref 0 in
   ignore
     (M.spawn m ~name:"producer" ~core:0 (fun ctx ->
@@ -80,7 +80,13 @@ let test_squeue_shedding () =
             queue full and sheds on depth *)
          let offer id =
            Squeue.offer q ctx
-             { Squeue.id; intended = M.now ctx; cls = 0; deadline = None; tenant = 0 }
+             {
+               Squeue.id;
+               intended = M.now ctx;
+               cls = 0;
+               deadline = Some (Cost.cycles_of_us 100.0);
+               tenant = 0;
+             }
          in
          check "first admitted" true (offer 0);
          check "second admitted" true (offer 1);
@@ -338,7 +344,7 @@ let test_governor_forces () =
 (* ---- serving workload: accounting, determinism, STW visibility ---- *)
 
 let serve_outcome ?(governed = false) ?on_runtime ?(qps = 150_000.0)
-    ?(queue_depth = 16) ?(requests = 600) mode =
+    ?(queue_depth = 16) ?(requests = 600) ?deadline_us ?(check = false) mode =
   Serve.run
     ~config:
       {
@@ -346,8 +352,10 @@ let serve_outcome ?(governed = false) ?on_runtime ?(qps = 150_000.0)
         pattern = Loadgen.Poisson qps;
         requests;
         queue_depth;
+        deadline_us;
         session_slots = 2_000;
         seed = 11;
+        check;
       }
     ?on_runtime ~governed ~mode ()
 
@@ -362,6 +370,27 @@ let test_serve_accounting () =
   Alcotest.(check int) "histogram count = served" o.Serve.served
     (Stats.Histogram.count (Slo.histogram o.Serve.slo));
   check "governor stats present" true (o.Serve.governor <> None)
+
+let test_serve_deadline () =
+  (* offered load over capacity against a deep queue and a 50 µs
+     queueing budget: requests go stale waiting, are shed at dispatch,
+     and every one is still accounted exactly once *)
+  let o =
+    serve_outcome ~queue_depth:256 ~deadline_us:50.0
+      (Runtime.Safe Revoker.Reloaded)
+  in
+  check "some requests shed on deadline" true (o.Serve.shed_deadline > 0);
+  Alcotest.(check int) "offered = requests" 600 o.Serve.offered;
+  Alcotest.(check int) "served + shed = offered" o.Serve.offered
+    (o.Serve.served + o.Serve.shed_depth + o.Serve.shed_deadline);
+  check "accounting clean" true o.Serve.clean
+
+let test_serve_checked () =
+  let o =
+    serve_outcome ~governed:true ~check:true (Runtime.Safe Revoker.Cornucopia)
+  in
+  check "checkers clean" true o.Serve.clean;
+  Alcotest.(check string) "no findings" "" o.Serve.report
 
 let test_serve_deterministic () =
   let a = serve_outcome ~governed:true (Runtime.Safe Revoker.Cornucopia) in
@@ -451,6 +480,8 @@ let () =
       ( "serve",
         [
           Alcotest.test_case "shed accounting" `Quick test_serve_accounting;
+          Alcotest.test_case "deadline shedding" `Quick test_serve_deadline;
+          Alcotest.test_case "checked run is clean" `Quick test_serve_checked;
           Alcotest.test_case "deterministic" `Quick test_serve_deterministic;
           Alcotest.test_case "stw stall visible" `Quick test_serve_sees_stw_stall;
         ] );

@@ -303,6 +303,8 @@ let test_epoch_resume_args () =
   | l ->
       Alcotest.failf "expected exactly one epoch-resume, saw %d"
         (List.length l));
+  check_int "the resume counter agrees with the trace" 1
+    (Revoker.recovery_stats rv).Revoker.epoch_resumes;
   check_int "within budget: no abort" 0
     (List.length (by_kind events Trace.Epoch_abort));
   check "the resumed epoch completed" true
@@ -337,6 +339,8 @@ let test_epoch_abort_args () =
   (match by_kind events Trace.Epoch_resume with
   | [ e ] -> check_int "one resume before giving up" 1 e.Trace.arg2
   | l -> Alcotest.failf "expected one epoch-resume, saw %d" (List.length l));
+  check_int "an aborted epoch's resume is counted too" 1
+    (Revoker.recovery_stats rv).Revoker.epoch_resumes;
   (match by_kind events Trace.Epoch_abort with
   | [ e ] ->
       check "abort restores an even counter" true (e.Trace.arg land 1 = 0);

@@ -296,6 +296,28 @@ let test_cli_bad_serving_flags () =
         (fun flag -> [ ("ccr_serve.exe", [ flag ^ "=0" ]); ("ccr_serve.exe", [ flag ^ "=-1" ]) ])
         [ "--servers"; "--queue-depth" ])
 
+(* NaN slips past [x <= 0.0]-style checks: each of these ran (exit 0)
+   with the flag silently ignored or turned into a default. The retry
+   and hedge values are checked by [Retry.validate]/[validate_hedge], so
+   each is given with the option that puts it in use. *)
+let test_cli_nonfinite_flags () =
+  check_cli_rejects
+    ([
+       ("ccr_sim.exe", [ "tenantecon"; "--storm-at=nan" ]);
+       ("ccr_sim.exe", [ "tenantecon"; "--phys-frac=nan" ]);
+       ("ccr_sim.exe", [ "tenantecon"; "--phys-frac=inf" ]);
+       ("ccr_fleet.exe", [ "--critical=nan" ]);
+       ("ccr_fleet.exe", [ "--background=nan" ]);
+       ("ccr_fleet.exe", [ "--rto-us=nan" ]);
+       ("ccr_fleet.exe", [ "--breaker"; "on"; "--breaker-cooloff-us=nan" ]);
+       ("ccr_fleet.exe", [ "--hedge-pct=nan" ]);
+       ("ccr_fleet.exe", [ "--hedge-pct=99"; "--hedge-min-us=nan" ]);
+       ("ccr_fleet.exe", [ "--retry"; "naive"; "--retry-base-us=nan" ]);
+     ]
+    @ List.map
+        (fun flag -> ("ccr_fleet.exe", [ "--retry"; "budgeted"; flag ^ "=nan" ]))
+        [ "--retry-base-us"; "--retry-cap-us"; "--retry-ratio" ])
+
 (* ---- pgbench ---- *)
 
 let pg_tiny =
@@ -372,6 +394,8 @@ let () =
           Alcotest.test_case "CLIs reject bad values" `Quick test_cli_bad_qps;
           Alcotest.test_case "CLIs reject bad serving flags" `Quick
             test_cli_bad_serving_flags;
+          Alcotest.test_case "CLIs reject non-finite flags" `Quick
+            test_cli_nonfinite_flags;
         ] );
       ( "pgbench",
         [
